@@ -8,13 +8,11 @@ and log-space empirical estimators.
 
 from .continuants import (
     IDENTITY,
-    LogStream,
     Mat2,
     as_word,
     cf_matrix,
     continuant,
     log_big,
-    log_q_stream,
     tail_value,
     trace,
 )

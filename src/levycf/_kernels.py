@@ -1,79 +1,51 @@
-"""Hot numeric kernels behind the empirical Levy estimators.
+"""The one float kernel behind the empirical Levy estimators.
 
-The two inner loops that dominate runtime (the log-denominator ratio scan and
-the backward evaluation of continued-fraction windows for Birkhoff averages)
-are compiled with numba @njit by default.  Set LEVYCF_NO_NUMBA=1 to select the
-fallback path instead: the scan runs as the same plain-Python loop, the window
-evaluation as a vectorized numpy sweep.  Both paths produce bitwise-identical
-results because they apply the identical float operations per element.
+birkhoff_tails evaluates depth-limited continued-fraction windows by a
+backward sweep of t -> a + 1/t across all window starts at once.  logq_scan
+reuses it through the mirror identity
 
-benchmarks/bench_kernels.py compares the two paths.
+    r_k = Q_k / Q_{k-1} = [a_k; a_{k-1}, ..., a_1],
+
+so log Q_n is the sum of log r_k, each r_k a window of the reversed letters.
+For letters >= 1 two steps of t -> a + 1/t contract by at least 1/4, so
+truncating every window at DEPTH = 56 letters moves r_k by at most
+4^-27 < 6e-17; windows that reach a_1 are padded with inf (1/inf = 0), which
+makes r_k for k <= DEPTH bit-identical to the forward recurrence from
+r_0 = inf.  The logs are summed exactly (math.fsum) per CHUNK of ratios, so
+the working set stays one chunk wide whatever n is.
 """
 
 import math
-import os
 
 import numpy as np
 
-USING_NUMBA = os.environ.get("LEVYCF_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
+DEPTH = 56
+CHUNK = 1 << 16
+
+# perfbench/worker.py reads this to report the kernel path
+USING_NUMBA = False
 
 
-def _logq_scan_py(letters, r_prev, total, comp):
-    """Advance the ratio recurrence over a block of letters.
-
-    letters is float64; (total, comp) is a Neumaier-compensated running sum of
-    log r_n.  Returns the updated (total, comp, r_prev) so callers can chain
-    blocks.  Start a fresh scan with r_prev = inf, total = comp = 0.
-    """
-    for i in range(letters.shape[0]):
-        r = letters[i] + 1.0 / r_prev
-        x = math.log(r)
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        r_prev = r
-    return total, comp, r_prev
-
-
-def _birkhoff_tails_loop(letters, count, depth):
-    # depth-major order pipelines the divisions across windows instead of
-    # serializing on one window's 40-deep dependency chain
-    out = np.empty(count)
-    for i in range(count):
-        out[i] = letters[i + depth - 1]
-    for j in range(depth - 2, -1, -1):
-        for i in range(count):
-            out[i] = letters[i + j] + 1.0 / out[i]
-    return out
-
-
-def _birkhoff_tails_numpy(letters, count, depth):
-    # Same per-element operation order as the loop version, swept across all
-    # window starts at once.
+def birkhoff_tails(letters, count, depth):
+    """[a_i; a_{i+1}, ..., a_{i+depth-1}] for i = 0..count-1, as float64."""
     t = letters[depth - 1 : depth - 1 + count].copy()
     for j in range(depth - 2, -1, -1):
-        t = letters[j : j + count] + 1.0 / t
+        np.reciprocal(t, out=t)
+        t += letters[j : j + count]
     return t
 
 
-if USING_NUMBA:
-    logq_scan = njit(cache=True)(_logq_scan_py)
-    birkhoff_tails = njit(cache=True)(_birkhoff_tails_loop)
-else:
-    logq_scan = _logq_scan_py
-    birkhoff_tails = _birkhoff_tails_numpy
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs (no-op on the fallback path)."""
-    x = np.ones(4)
-    logq_scan(x, math.inf, 0.0, 0.0)
-    birkhoff_tails(x, 2, 3)
+def logq_scan(letters, start=0):
+    """log Q_n - log Q_start for the float64 letters a_1..a_n, n = len(letters)."""
+    n = letters.shape[0]
+    sums = []
+    for lo in range(start, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        window = letters[max(0, lo - DEPTH + 1) : hi][::-1]
+        pad = max(0, DEPTH - 1 - lo)
+        if pad:
+            window = np.concatenate((window, np.full(pad, math.inf)))
+        t = birkhoff_tails(window, hi - lo, DEPTH)
+        np.log(t, out=t)
+        sums.append(math.fsum(t))
+    return math.fsum(sums)

@@ -6,14 +6,12 @@ method tag, and the wall time.  `--format csv` switches to CSV rows: the
 curve and xi commands emit their natural tables, everything else emits
 key,value rows.  Exit codes: 0 success, 2 usage, 3 target out of range,
 4 insufficient input.
-
-LEVY_THREADS caps process parallelism for the curve command (default serial).
 """
 
 import argparse
 import io
 import json
-import os
+import math
 import sys
 import time
 from fractions import Fraction
@@ -212,9 +210,8 @@ def cmd_slope(args):
     }
 
 
-def _curve_row(job):
-    frac, a, b = job
-    sp = slope_point(frac, Alphabet(a, b))
+def _curve_row(frac, alphabet):
+    sp = slope_point(frac, alphabet)
     return {"p": frac.numerator, "q": frac.denominator, "f": _f15(sp.f_value), "x": _f15(sp.x_value)}
 
 
@@ -223,15 +220,7 @@ def cmd_curve(args):
     if args.qmax < 1:
         raise InvalidWordError("--qmax must be >= 1")
     fracs = sorted({Fraction(p, q) for q in range(1, args.qmax + 1) for p in range(q + 1)})
-    jobs = [(frac, alphabet.a, alphabet.b) for frac in fracs]
-    threads = int(os.environ.get("LEVY_THREADS", "1") or "1")
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            rows = pool.map(_curve_row, jobs)
-    else:
-        rows = [_curve_row(job) for job in jobs]
+    rows = [_curve_row(frac, alphabet) for frac in fracs]
     for prev, cur in zip(rows, rows[1:]):
         if not prev["f"] < cur["f"]:
             raise AssertionError(f"f not strictly increasing at {cur['p']}/{cur['q']}")
@@ -245,8 +234,8 @@ def cmd_curve(args):
 
 def cmd_invert(args):
     alphabet = _alphabet(args)
-    if args.tol <= 0:
-        raise InvalidWordError("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise InvalidWordError(f"--tol must be positive and finite, got {args.tol}")
     res = invert_f(args.target, alphabet, args.tol)
     return {
         "command": "invert",
@@ -296,9 +285,11 @@ def cmd_estimate(args):
         raise InvalidWordError("-n must be >= 1")
     period = None
     if args.word:
-        letters = []
-        for w in load_words(args.word):
-            letters.extend(w)
+        try:
+            words = load_words(args.word)
+        except OSError as exc:
+            raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
+        letters = [x for w in words for x in w]
         source = {"word_file": args.word}
     elif args.slope:
         digits = _parse_digits(args.slope)

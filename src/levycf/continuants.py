@@ -9,9 +9,9 @@ the log-space helpers.
 """
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import InvalidWordError, TruncatedStreamError
+from .errors import InvalidWordError
 
 Word = tuple  # tuple of positive ints; see as_word()
 
@@ -98,43 +98,6 @@ def log_big(n: int) -> float:
         return math.log(n)
     shift = nb - 64
     return math.log(n >> shift) + shift * _LN2
-
-
-class LogStream(NamedTuple):
-    """One step of the log-space denominator recurrence."""
-
-    n: int
-    log_q: float
-    ratio: float
-
-
-def log_q_stream(letters: Iterable[int], n_max: int) -> Iterator[LogStream]:
-    """Yield (n, log Q_n, Q_n/Q_{n-1}) for n = 1..n_max.
-
-    Runs the ratio recurrence r_n = a_n + 1/r_{n-1} (r_0 = +inf, so r_1 = a_1)
-    and accumulates log r_n with Neumaier-compensated summation, keeping the
-    drift against the exact big-integer log below 1e-9 out to n ~ 1e6.
-    """
-    it = iter(letters)
-    r = math.inf
-    total = 0.0
-    comp = 0.0
-    for n in range(1, n_max + 1):
-        try:
-            a = next(it)
-        except StopIteration:
-            raise TruncatedStreamError(f"letter stream ended at n={n - 1} < n_max={n_max}") from None
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise InvalidWordError(f"letters must be positive integers, got {a!r}")
-        r = a + 1.0 / r
-        x = math.log(r)
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        yield LogStream(n, total + comp, r)
 
 
 def tail_value(w: Iterable[int]) -> float:

@@ -255,8 +255,8 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     Terminates when f(upper) - f(lower) < tol; that width also dominates the
     convergent error bound of the limit slope.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     f0, f1 = letter_levy(alphabet.a), letter_levy(alphabet.b)
     if not f0 <= target <= f1:
         raise TargetOutOfRangeError(target, f0, f1)
@@ -316,7 +316,7 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
                    period: Optional[int] = None) -> LevyResult:
     """Empirical Levy estimate over the first letters of a stream.
 
-    method "logq" returns (log Q_n)/n from the compensated ratio recurrence;
+    method "logq" returns (log Q_n)/n from _kernels.logq_scan;
     with period=s (for streams known to be s-periodic) it switches to the
     difference form (log Q_{n+s} - log Q_n)/s, which converges geometrically.
     method "birkhoff" averages log of depth-limited continued-fraction tails
@@ -329,12 +329,9 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
             if period < 1:
                 raise ValueError("period must be >= 1")
             arr = _collect(letters, n + period)
-            _, _, r = _kernels.logq_scan(arr[:n], math.inf, 0.0, 0.0)
-            tail_total, tail_comp, _ = _kernels.logq_scan(arr[n:], r, 0.0, 0.0)
-            return LevyResult((tail_total + tail_comp) / period, 1e-12, METHOD_LOGQ)
+            return LevyResult(_kernels.logq_scan(arr, n) / period, 1e-12, METHOD_LOGQ)
         arr = _collect(letters, n)
-        total, comp, _ = _kernels.logq_scan(arr, math.inf, 0.0, 0.0)
-        return LevyResult((total + comp) / n, _heuristic_bias(int(arr.max()), n), METHOD_LOGQ)
+        return LevyResult(_kernels.logq_scan(arr) / n, _heuristic_bias(int(arr.max()), n), METHOD_LOGQ)
     if method == "birkhoff":
         if tail_depth < 2:
             raise ValueError("tail_depth must be >= 2")
@@ -378,13 +375,13 @@ def xi_oscillation(alphabet: Alphabet, m_max: int) -> XiOscillation:
     """Scan the first 2^m_max letters of xi and locate both accumulation points."""
     if m_max < 4:
         raise ValueError("m_max must be >= 4")
-    r, total, comp = math.inf, 0.0, 0.0
+    letters, counts = zip(*xi_blocks(alphabet, m_max))
+    arr = np.repeat(np.array(letters, dtype=np.float64), counts)
+    total = _kernels.logq_scan(arr[:1])
     points = []
-    for j, (letter, count) in enumerate(xi_blocks(alphabet, m_max)):
-        block = np.full(count, float(letter))
-        total, comp, r = _kernels.logq_scan(block, r, total, comp)
-        if j >= 1:
-            points.append((j, (total + comp) / 2.0**j))
+    for j in range(1, m_max + 1):
+        total += _kernels.logq_scan(arr[: 2**j], 2 ** (j - 1))
+        points.append((j, total / 2.0**j))
     evens = [u for m, u in points if m % 2 == 0]
     odds = [u for m, u in points if m % 2 == 1]
     la, lb = letter_levy(alphabet.a), letter_levy(alphabet.b)

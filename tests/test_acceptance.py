@@ -1,17 +1,13 @@
 """Acceptance suite: one criterion per test, one printed pass/fail line each.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the lines.  Numeric
-tolerances and runtime budgets are asserted as part of each criterion; the
-JIT kernels are warmed once up front so compile time never lands inside a
-timed section.
+tolerances and runtime budgets are asserted as part of each criterion.
 """
 
 import math
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from _farey import farey_neighbor_pairs
 from levycf import (
@@ -41,16 +37,10 @@ from levycf import (
     xi_oscillation,
     xi_word,
 )
-from levycf._kernels import warmup
 from levycf.levy import _mu_root, levy_from_trace, mu_mean
 
 AB12 = Alphabet(1, 2)
 GOLDEN = SlopeCF((), repeat=(1,))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    warmup()
 
 
 def report(num, ok, detail):

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -12,15 +11,12 @@ import pytest
 CLI = [sys.executable, "-m", "levycf.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
-def run_json(*args, env_extra=None):
-    proc = run_cli(*args, env_extra=env_extra)
+def run_json(*args):
+    proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -115,11 +111,6 @@ class TestCurve:
         assert len(lines) == 12
         assert lines[1].startswith("0,1,0/1,")
 
-    def test_parallel_rows_match_serial(self):
-        serial = run_json("curve", "--qmax", "12", "-a", "1", "-b", "2")
-        parallel = run_json("curve", "--qmax", "12", "-a", "1", "-b", "2", env_extra={"LEVY_THREADS": "2"})
-        assert serial["results"] == parallel["results"]
-
     def test_bad_qmax_exits_2(self):
         proc = run_cli("curve", "--qmax", "0", "-a", "1", "-b", "2")
         assert proc.returncode == 2
@@ -148,6 +139,13 @@ class TestInvert:
         assert "0.481211825059603" in proc.stderr
         assert "0.881373587019543" in proc.stderr
 
+
+    def test_non_finite_tol_exits_2(self):
+        for tol in ("nan", "inf"):
+            proc = run_cli("invert", "0.6", "-a", "1", "-b", "2", "--tol", tol)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: --tol must be positive and finite")
+            assert len(proc.stderr.splitlines()) == 1
 
 class TestXi:
     def test_verdict_and_schema(self, schema):
@@ -186,6 +184,12 @@ class TestEstimate:
         path.write_text("1,2,1\n")
         proc = run_cli("estimate", "--word", str(path), "-n", "100", "-a", "1", "-b", "2")
         assert proc.returncode == 4
+
+    def test_missing_word_file_exits_2(self, tmp_path):
+        path = tmp_path / "absent.txt"
+        proc = run_cli("estimate", "--word", str(path), "-n", "100", "-a", "1", "-b", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: cannot read --word file: No such file or directory: {path}"]
 
     def test_sturmian_source_birkhoff(self, schema):
         record = run_json(

@@ -2,6 +2,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from levycf import (
@@ -11,11 +12,12 @@ from levycf import (
     TruncatedStreamError,
     cf_matrix,
     continuant,
+    levy_empirical,
     log_big,
-    log_q_stream,
     tail_value,
     trace,
 )
+from levycf._kernels import logq_scan
 from levycf.levy import tail_spread
 from levycf.words import Alphabet
 
@@ -156,47 +158,47 @@ class TestLogBig:
 
 
 class TestLogQStream:
+    """log Q_n of a letter stream, from the float kernel and the estimator."""
+
     def test_fibonacci_denominators(self):
         # [0; 1, 1, 1, ...] has Q_n = F_{n+1}: 1, 2, 3, 5, 8
-        entries = list(log_q_stream(iter([1] * 5), 5))
-        assert [e.n for e in entries] == [1, 2, 3, 4, 5]
-        assert abs(entries[-1].log_q - math.log(8)) < 1e-12
-        assert entries[0].ratio == 1.0
+        ones = np.ones(5)
+        for k, q in enumerate((1, 2, 3, 5, 8), start=1):
+            assert abs(logq_scan(ones[:k]) - math.log(q)) < 1e-15
+        assert logq_scan(ones[:1]) == 0.0  # Q_1/Q_0 = 1 exactly
 
     def test_constant_letter_growth_rate(self):
         for a in (1, 2, 3):
             limit = math.log((a + math.sqrt(a * a + 4)) / 2)
-            last = None
-            for e in log_q_stream(iter([a] * 4000), 4000):
-                last = e
-            assert abs(last.log_q / last.n - limit) < 1e-3
+            assert abs(levy_empirical(iter([a] * 4000), 4000).value - limit) < 1e-3
 
     def test_matches_exact_continuant(self):
-        # drift below 1e-9 against the big-integer log for n <= 200
         rng = random.Random(51)
         for _ in range(50):
             a = rng.randrange(1, 5)
             b = rng.randrange(a + 1, a + 6)
             w = random_word(rng, 200, (a, b))
-            k, k_prev = 1, 0
-            for e in log_q_stream(iter(w), 200):
-                k, k_prev = w[e.n - 1] * k + k_prev, k
-                assert abs(e.log_q - log_big(k)) < 1e-9
+            arr = np.array(w, dtype=float)
+            for k in range(1, 201):
+                assert abs(logq_scan(arr[:k]) - log_big(continuant(w[:k]))) < 1e-12
 
     def test_ratio_range(self):
+        # Q_k/Q_{k-1} = exp(log Q_k - log Q_{k-1}) lies in [1, 3], above 1 from k = 2
         w = [2, 1, 2, 2, 1, 1, 2] * 30
-        for e in log_q_stream(iter(w), len(w)):
-            assert 1.0 <= e.ratio <= 3.0
-            if e.n >= 2:
-                assert e.ratio > 1.0
+        arr = np.array(w, dtype=float)
+        for k in range(1, len(w) + 1):
+            ratio = math.exp(logq_scan(arr[:k], k - 1))
+            assert 1.0 <= ratio <= 3.0
+            if k >= 2:
+                assert ratio > 1.0
 
     def test_truncated_stream(self):
         with pytest.raises(TruncatedStreamError):
-            list(log_q_stream(iter([1, 2, 3]), 5))
+            levy_empirical(iter([1, 2, 3]), 5)
 
     def test_rejects_bad_letter(self):
         with pytest.raises(InvalidWordError):
-            list(log_q_stream(iter([1, 0, 1]), 3))
+            levy_empirical(iter([1, 0, 1]), 3)
 
 
 class TestTailValue:

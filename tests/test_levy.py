@@ -331,8 +331,9 @@ class TestInvertF:
             invert_f(target, AB, 1e-13, max_steps=500)
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            invert_f(0.6, AB, 0.0)
+        for tol in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                invert_f(0.6, AB, tol)
 
 
 class TestLevyEmpirical:

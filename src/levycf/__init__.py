@@ -13,6 +13,7 @@ from .continuants import (
     cf_matrix,
     continuant,
     log_big,
+    mediant_trace,
     tail_value,
     trace,
 )
@@ -32,6 +33,7 @@ from .levy import (
     SlopePoint,
     XiOscillation,
     f_irrational,
+    farey_points,
     invert_f,
     letter_levy,
     levy_empirical,
@@ -53,6 +55,7 @@ from .words import (
     apply_morphism,
     characteristic_prefix,
     christoffel,
+    christoffel_trace,
     classify_factor,
     complexity,
     complexity_window,

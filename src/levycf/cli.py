@@ -5,13 +5,16 @@ the results with an error bound (a number or "exact-to-rounding") and a
 method tag, and the wall time.  `--format csv` switches to CSV rows: the
 curve and xi commands emit their natural tables, everything else emits
 key,value rows.  Exit codes: 0 success, 2 usage, 3 target out of range,
-4 insufficient input.
+4 insufficient input, 141 output pipe closed early (as in `levy ... | head`;
+nothing goes to stderr).
 """
 
 import argparse
+import contextlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -27,6 +30,7 @@ from .levy import (
     METHOD_RATIONAL,
     QuadPeriod,
     f_irrational,
+    farey_points,
     invert_f,
     letter_levy,
     levy_empirical,
@@ -50,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_INPUT = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, the shell's code for a closed output pipe
 
 
 def _f15(x):
@@ -210,17 +215,14 @@ def cmd_slope(args):
     }
 
 
-def _curve_row(frac, alphabet):
-    sp = slope_point(frac, alphabet)
-    return {"p": frac.numerator, "q": frac.denominator, "f": _f15(sp.f_value), "x": _f15(sp.x_value)}
-
-
 def cmd_curve(args):
     alphabet = _alphabet(args)
     if args.qmax < 1:
         raise InvalidWordError("--qmax must be >= 1")
-    fracs = sorted({Fraction(p, q) for q in range(1, args.qmax + 1) for p in range(q + 1)})
-    rows = [_curve_row(frac, alphabet) for frac in fracs]
+    rows = [
+        {"p": sp.fraction.numerator, "q": sp.fraction.denominator, "f": _f15(sp.f_value), "x": _f15(sp.x_value)}
+        for sp in farey_points(args.qmax, alphabet)
+    ]
     for prev, cur in zip(rows, rows[1:]):
         if not prev["f"] < cur["f"]:
             raise AssertionError(f"f not strictly increasing at {cur['p']}/{cur['q']}")
@@ -356,6 +358,25 @@ def _emit_csv(record, out):
     out.write(f"wall_time_s,{record['wall_time_s']}\n")
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's int-to-str digit limit while a record is written.
+
+    Exact traces pass the default 4300 digits from about q = 15,000 on.  The
+    old limit is restored afterwards, because main() also runs in process.
+    Interpreters without the limit (before 3.10.7) need nothing.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -376,12 +397,22 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     record["wall_time_s"] = time.perf_counter() - start
-    if args.format == "csv":
-        buf = io.StringIO()
-        _emit_csv(record, buf)
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(json.dumps(record, indent=2))
+    try:
+        with _int_digits_unlimited():
+            if args.format == "csv":
+                buf = io.StringIO()
+                _emit_csv(record, buf)
+                sys.stdout.write(buf.getvalue())
+            else:
+                print(json.dumps(record, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`levy ... | head`).  Point stdout
+        # at devnull so that the interpreter's final flush stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     return EXIT_OK
 
 

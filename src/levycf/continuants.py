@@ -39,6 +39,23 @@ class Mat2(NamedTuple):
         e, f, g, h = other
         return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
+    def __pow__(self, n: int) -> "Mat2":
+        """self**n by left-to-right repeated squaring; identity for n = 0.
+
+        Takes bit_length(n) - 1 squarings plus one product by self for each
+        further set bit of n.
+        """
+        if n < 0:
+            raise ValueError(f"Mat2 power must be >= 0, got {n}")
+        if n == 0:
+            return IDENTITY
+        result = self
+        for bit in bin(n)[3:]:
+            result = result @ result
+            if bit == "1":
+                result = result @ self
+        return result
+
 
 IDENTITY = Mat2(1, 0, 0, 1)
 
@@ -82,6 +99,21 @@ def trace(w: Iterable[int]) -> int:
     """Trace of cf_matrix(w); the empty word gives Tr(I) = 2."""
     m = cf_matrix(w)
     return m.e11 + m.e22
+
+
+def mediant_trace(t_lo: int, t_hi: int, t_diff: int, q_small: int) -> int:
+    """Christoffel trace of the mediant of two Farey neighbours, from three traces.
+
+    Let big and small be the neighbours of larger and smaller denominator and
+    diff the slope big - small (numerators and denominators subtracted).  Then
+    T(w_{lo+hi}) = T(w_big) T(w_small) - (-1)^q_small T(w_diff): this is
+    tr(AB) = tr(A) tr(B) - det(B) tr(A B^-1) with B the matrix of w_small,
+    whose determinant is (-1)^q_small, and A B^-1 conjugate to the matrix of
+    w_diff.  The root pair 0/1, 1/1 has the empty diff, of trace 2.  The cost
+    is one big multiply, against eight for the product of the parents' matrices.
+    """
+    t = t_lo * t_hi
+    return t + t_diff if q_small % 2 else t - t_diff
 
 
 def log_big(n: int) -> float:

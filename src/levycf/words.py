@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .continuants import Word, as_word, continuant
+from .continuants import Mat2, Word, as_word, continuant
 from .errors import (
     FloorPrecisionError,
     InsufficientDigitsError,
@@ -270,6 +270,22 @@ def fraction_cf(pq: Fraction) -> tuple:
         digits.append(c)
         q, p = p, rem
     return tuple(digits)
+
+
+def christoffel_trace(pq: Fraction, alphabet: Alphabet) -> int:
+    """Trace of the Christoffel word of p/q, computed without building the word.
+
+    With p/q = [0; c_1, ..., c_n], the standard words M_{-1} = b, M_0 = a and
+    M_k = M_{k-1}^{d_k} M_{k-2}, with d_1 = c_1 - 1 and d_k = c_k after that,
+    end in M_n: a word of length q that is conjugate to w_{p/q}, and so has
+    the same trace.  Taking the matrix powers by repeated squaring costs
+    about sum(log2 d_k) big 2x2 products.  0/1 and 1/1 give a and b.
+    """
+    cf = fraction_cf(_check_slope_fraction(pq))
+    m_prev, m = Mat2(alphabet.b, 1, 1, 0), Mat2(alphabet.a, 1, 1, 0)
+    for k, c in enumerate(cf):
+        m_prev, m = m, (m ** (c - 1 if k == 0 else c)) @ m_prev
+    return m.trace
 
 
 def stern_brocot_parents(pq: Fraction) -> tuple:

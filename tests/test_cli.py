@@ -3,10 +3,14 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
+
+from levycf import Alphabet, christoffel, trace
+from levycf.cli import main
 
 CLI = [sys.executable, "-m", "levycf.cli"]
 
@@ -115,6 +119,11 @@ class TestCurve:
         proc = run_cli("curve", "--qmax", "0", "-a", "1", "-b", "2")
         assert proc.returncode == 2
 
+    def test_qmax_1_rows_are_the_endpoints(self):
+        record = run_json("curve", "--qmax", "1", "-a", "2", "-b", "5")
+        assert [(row["p"], row["q"]) for row in record["results"]["rows"]] == [(0, 1), (1, 1)]
+        assert record["results"]["rows"][1]["x"] == 5.0
+
 
 class TestInvert:
     def test_khinchin_levy_target(self, schema):
@@ -212,6 +221,45 @@ class TestEstimate:
         assert ref["results"]["error_bound"] < 1e-4
         diff = abs(est["results"]["value"] - ref["results"]["f"])
         assert diff < 1e-3 + ref["results"]["error_bound"]
+
+
+class TestOutput:
+    def test_closed_pipe_exits_141_silently(self):
+        # about 2 MB of JSON, far more than a pipe buffer holds, so the
+        # writer is still writing when the reader goes away
+        argv = CLI + ["curve", "--qmax", "300", "-a", "1", "-b", "2"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
+    def test_traces_past_4300_digits(self):
+        ab = Alphabet(1, 2)
+        period = ",".join(["1", "2", "1"] * 6700)
+        cases = [
+            (("slope", "7001/20011"), trace(christoffel(Fraction(7001, 20011), ab))),
+            (("quad", "--period", period), trace(tuple(int(x) for x in period.split(",")))),
+        ]
+        limit = sys.get_int_max_str_digits()
+        for args, want in cases:
+            assert want.bit_length() > 14300  # more than 4300 decimal digits
+            proc = run_cli(*args, "-a", "1", "-b", "2")
+            assert proc.returncode == 0, proc.stderr
+            sys.set_int_max_str_digits(0)
+            try:
+                record = json.loads(proc.stdout)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert record["results"]["trace"] == want
+
+    def test_digit_limit_restored_after_in_process_run(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["slope", "7001/20011", "-a", "1", "-b", "2", "--format", "csv"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
+        assert len(rows["results.trace"]) > 4300
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from levycf import (
     continuant,
     levy_empirical,
     log_big,
+    mediant_trace,
     tail_value,
     trace,
 )
@@ -71,6 +72,31 @@ class TestCfMatrix:
             w1 = random_word(rng, rng.randrange(0, 15))
             w2 = random_word(rng, rng.randrange(0, 15))
             assert cf_matrix(w1) @ cf_matrix(w2) == cf_matrix(w1 + w2)
+
+
+class TestMat2Power:
+    def test_matches_repeated_product(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            w = random_word(rng, rng.randrange(1, 6), (1, 2, 5))
+            m = cf_matrix(w)
+            n = rng.randrange(0, 40)
+            assert m**n == cf_matrix(w * n)
+        assert Mat2(2, 1, 1, 0) ** 0 == IDENTITY
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            cf_matrix((1, 2)) ** -1
+
+
+class TestMediantTrace:
+    def test_root_and_one_level(self):
+        # 1/2 from (0/1, 1/1), empty diff: T(ab) = ab + 2
+        assert mediant_trace(1, 2, 2, 1) == trace((1, 2)) == 4
+        # 1/3 from (0/1, 1/2), diff 1/1: T(aab) = T(a) T(ab) + T(b)
+        assert mediant_trace(1, 4, 2, 1) == trace((1, 1, 2)) == 6
+        # 2/5 from (1/3, 1/2), small q = 2 even, diff 0/1: T(aab ab) = 6*4 - 1
+        assert mediant_trace(6, 4, 1, 2) == trace((1, 1, 2, 1, 2)) == 23
 
 
 class TestContinuant:

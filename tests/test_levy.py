@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from _farey import farey_neighbor_pairs
 from levycf import (
@@ -11,19 +13,24 @@ from levycf import (
     NoConvergenceError,
     QuadPeriod,
     SlopeCF,
+    InvertResult,
     TargetOutOfRangeError,
     TruncatedStreamError,
     cf_matrix,
     christoffel,
     f_irrational,
+    farey_points,
+    fraction_cf,
     invert_f,
     letter_levy,
     levy_empirical,
     levy_quadratic,
+    mediant_trace,
     morphic_levy,
     mu_mean,
     rn_family,
     slope_point,
+    stern_brocot_parents,
     sturmian_prefix,
     tail_spread,
     trace,
@@ -155,6 +162,22 @@ class TestSlopePoint:
             sp = slope_point(pq, AB)
             assert abs(sp.f_value - math.log(phi(sp.x_value))) < 1e-12
 
+    def test_trace_matches_letter_fold_q60(self):
+        # every reduced p/q with q <= 60, 0/1, 1/1 and slopes above 1/2 (d_1 = 0) included
+        for a, b in [(1, 2), (2, 5), (3, 4)]:
+            ab = Alphabet(a, b)
+            for q in range(1, 61):
+                for p in range(q + 1):
+                    if math.gcd(p, q) == 1:
+                        pq = Fraction(p, q)
+                        assert slope_point(pq, ab).trace == trace(christoffel(pq, ab)), (pq, a, b)
+
+    def test_trace_matches_letter_fold_large_q(self):
+        for pq, ab in [(Fraction(7001, 20011), AB), (Fraction(10007, 12345), Alphabet(2, 5))]:
+            sp = slope_point(pq, ab)
+            assert sp.trace == trace(christoffel(pq, ab))
+            assert sp.f_value == levy_from_trace(sp.trace, pq.denominator)
+
 
 class TestChristoffelTraceIdentity:
     def test_eq2_and_growth(self):
@@ -172,6 +195,25 @@ class TestChristoffelTraceIdentity:
             t_diff = 2 if dq == 0 else trace(christoffel(Fraction(dp, dq), AB))
             assert t_med == t_big * t_small - (-1) ** small.denominator * t_diff
             assert t_med >= t_big + 1
+
+
+class TestMediantTraceProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(q=st.integers(2, 2000), p=st.integers(1, 1999), a=st.integers(1, 6), gap=st.integers(1, 6))
+    def test_identity_matches_fold_and_f_increases(self, q, p, a, gap):
+        assume(p < q and math.gcd(p, q) == 1)
+        ab = Alphabet(a, a + gap)
+        med = Fraction(p, q)
+        lo, hi = stern_brocot_parents(med)
+        big, small = (lo, hi) if lo.denominator >= hi.denominator else (hi, lo)
+        dq = big.denominator - small.denominator
+        t_diff = 2 if dq == 0 else trace(christoffel(Fraction(big.numerator - small.numerator, dq), ab))
+        t_lo, t_hi = trace(christoffel(lo, ab)), trace(christoffel(hi, ab))
+        t_med = mediant_trace(t_lo, t_hi, t_diff, small.denominator)
+        assert t_med == trace(christoffel(med, ab))
+        f_lo = levy_from_trace(t_lo, lo.denominator)
+        f_hi = levy_from_trace(t_hi, hi.denominator)
+        assert f_lo < levy_from_trace(t_med, q) < f_hi
 
 
 class TestGapInequality:
@@ -286,7 +328,69 @@ class TestFIrrational:
         assert 5 * g / q < 1e-6
 
 
+def _invert_mat2(target, alphabet, tol, max_steps=10**6):
+    """Reference descent: each mediant's matrix is the full product of its parents' matrices."""
+    f0, f1 = letter_levy(alphabet.a), letter_levy(alphabet.b)
+    if not f0 <= target <= f1:
+        raise TargetOutOfRangeError(target, f0, f1)
+    if target in (f0, f1):
+        e = Fraction(0 if target == f0 else 1)
+        return InvertResult(e, e, e, target, target, fraction_cf(e), True, 0)
+    lo, hi = Fraction(0), Fraction(1)
+    m_lo, m_hi = cf_matrix((alphabet.a,)), cf_matrix((alphabet.b,))
+    f_lo, f_hi = f0, f1
+    steps = 0
+    while f_hi - f_lo >= tol:
+        if steps >= max_steps:
+            raise NoConvergenceError("cap")
+        med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        m_med = m_lo @ m_hi
+        f_med = levy_from_trace(m_med.trace, med.denominator)
+        steps += 1
+        if f_med == target:
+            return InvertResult(med, med, med, f_med, f_med, fraction_cf(med), True, steps)
+        if f_med < target:
+            lo, m_lo, f_lo = med, m_med, f_med
+        else:
+            hi, m_hi, f_hi = med, m_med, f_med
+    med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+    return InvertResult(lo, hi, med, f_lo, f_hi, fraction_cf(med), False, steps)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoConvergenceError:
+        return NoConvergenceError
+
+
 class TestInvertF:
+    def test_matches_mat2_descent(self):
+        rng = random.Random(2024)
+        alphabets = [Alphabet(1, 2), Alphabet(2, 5), Alphabet(3, 4), Alphabet(1, 7)]
+        cases = []
+        for _ in range(240):
+            ab = rng.choice(alphabets)
+            f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
+            cases.append((f0 + (f1 - f0) * rng.random(), 10 ** rng.uniform(-9, -2), ab, 10**6))
+        for _ in range(50):
+            ab = rng.choice(alphabets)
+            q = rng.randrange(2, 200)
+            p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+            cases.append((slope_point(Fraction(p, q), ab).f_value, 10 ** rng.uniform(-12, -4), ab, 10**6))
+        for ab in alphabets:
+            f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
+            cases += [(f0, 1e-9, ab, 10**6), (f1, 1e-9, ab, 10**6)]
+            cases += [(f0 + (f1 - f0) * rng.random(), 1e-10, ab, rng.randrange(1, 20)) for _ in range(3)]
+        outcomes = []
+        for target, tol, ab, cap in cases:
+            want = _outcome(_invert_mat2, target, ab, tol, cap)
+            assert _outcome(invert_f, target, ab, tol, cap) == want, (target, tol, ab, cap)
+            outcomes.append(want)
+        assert len(cases) >= 300
+        assert sum(o is NoConvergenceError for o in outcomes) >= 8
+        assert sum(o is not NoConvergenceError and o.exact and o.steps > 0 for o in outcomes) >= 10
+
     def test_endpoint_targets(self):
         res = invert_f(letter_levy(1), AB, 1e-10)
         assert res.mediant == Fraction(0, 1) and res.exact
@@ -334,6 +438,18 @@ class TestInvertF:
         for tol in (0.0, -1e-8, math.nan, math.inf):
             with pytest.raises(ValueError):
                 invert_f(0.6, AB, tol)
+
+
+class TestFareyPoints:
+    def test_rows_match_sorted_farey_slope_points(self):
+        for ab in (AB, Alphabet(2, 5)):
+            for qmax in range(1, 61):
+                fracs = sorted({Fraction(p, q) for q in range(1, qmax + 1) for p in range(q + 1)})
+                assert farey_points(qmax, ab) == [slope_point(fr, ab) for fr in fracs], qmax
+
+    def test_bad_qmax(self):
+        with pytest.raises(ValueError):
+            farey_points(0, AB)
 
 
 class TestLevyEmpirical:

@@ -77,9 +77,7 @@ def cf_matrix(w: Iterable[int]) -> Mat2:
     rather than cubic.
     """
     e11, e12, e21, e22 = 1, 0, 0, 1
-    for x in w:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise InvalidWordError(f"letters must be positive integers, got {x!r}")
+    for x in as_word(w):
         e11, e12 = e11 * x + e12, e11
         e21, e22 = e21 * x + e22, e21
     return Mat2(e11, e12, e21, e22)
@@ -88,17 +86,14 @@ def cf_matrix(w: Iterable[int]) -> Mat2:
 def continuant(w: Iterable[int]) -> int:
     """Continuant K(w): denominator of [0; w]. K(empty) = 1."""
     k, k_prev = 1, 0
-    for x in w:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise InvalidWordError(f"letters must be positive integers, got {x!r}")
+    for x in as_word(w):
         k, k_prev = x * k + k_prev, k
     return k
 
 
 def trace(w: Iterable[int]) -> int:
     """Trace of cf_matrix(w); the empty word gives Tr(I) = 2."""
-    m = cf_matrix(w)
-    return m.e11 + m.e22
+    return cf_matrix(w).trace
 
 
 def mediant_trace(t_lo: int, t_hi: int, t_diff: int, q_small: int) -> int:
@@ -134,12 +129,10 @@ def log_big(n: int) -> float:
 
 def tail_value(w: Iterable[int]) -> float:
     """Value of the finite continued fraction [a_1; a_2, ..., a_D] as a float."""
-    w = tuple(w)
+    w = as_word(w)
     if not w:
         raise ValueError("tail_value requires a nonempty word")
     t = 0.0
     for x in reversed(w):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise InvalidWordError(f"letters must be positive integers, got {x!r}")
         t = x + (1.0 / t if t else 0.0)
     return t

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -61,8 +61,9 @@ class QuadPeriod:
     def s(self) -> int:
         return len(self.period)
 
-    @property
+    @cached_property
     def t(self) -> int:
+        """Exact trace of the period, folded once per instance."""
         return trace(self.period)
 
 
@@ -126,10 +127,7 @@ def trace_poly(n: int, x: float) -> float:
         raise ValueError(f"x must be positive, got {x}")
     if n == 0:
         return 2.0
-    t_prev, t = 2.0, float(x)
-    for _ in range(n - 1):
-        t_prev, t = t, x * t + t_prev
-    return t
+    return _trace_poly_with_derivative(n, x)[0]
 
 
 def _trace_poly_with_derivative(n, x):

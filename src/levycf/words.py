@@ -4,10 +4,12 @@ Letters are stored as the integers a, b themselves so that words feed
 straight into the continuant algebra.  Slopes are either exact rationals
 (fractions.Fraction) or continued-fraction digit lists (SlopeCF, encoding
 theta = [0; 1+d1, d2, d3, ...]).  All word generation is exact integer
-arithmetic; irrational slopes go through a convergent approximation whose
-floor evaluations carry an explicit ambiguity check.
+arithmetic: Sturmian and Christoffel words come from standard_sequence,
+irrational mechanical words from a convergent with floor-ambiguity checks.
 """
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -102,18 +104,6 @@ class SlopeCF:
                 return k, p, q
         raise AssertionError("unreachable")
 
-    def theta(self) -> float:
-        """Float approximation of the slope (for display, never for words)."""
-        last = (0, 1)
-        try:
-            for _, p, q in self.convergents():
-                last = (p, q)
-                if q > 2**40:
-                    break
-        except InsufficientDigitsError:
-            pass
-        return last[0] / last[1]
-
 
 @dataclass(frozen=True)
 class Morphism:
@@ -163,11 +153,6 @@ def _floors_rational(p, q, u, v, n):
     return [(m * p * v + u * q) // den for m in range(n + 1)]
 
 
-def _ceils_rational(p, q, u, v, n):
-    den = q * v
-    return [-((-(m * p * v + u * q)) // den) for m in range(n + 1)]
-
-
 def _floors_near_convergent(p, q, u, v, n):
     """Floors of m*(p/q) + u/v for m = 0..n, or the first ambiguous m.
 
@@ -194,14 +179,13 @@ _MAX_REFINEMENTS = 5
 
 def _floors_irrational(slope: SlopeCF, rho: Fraction, n: int):
     u, v = rho.numerator, rho.denominator
-    k, p, q = slope.convergent_exceeding(2 * n * n)
-    bad = None
-    for _ in range(_MAX_REFINEMENTS + 1):
+    candidates = (c for c in slope.convergents() if c[2] > 2 * n * n)
+    for tries, (_, p, q) in enumerate(candidates):
         floors, bad = _floors_near_convergent(p, q, u, v, n)
         if floors is not None:
             return floors
-        k, p, q = slope.convergent(k + 1)
-    raise FloorPrecisionError(bad)
+        if tries == _MAX_REFINEMENTS:
+            raise FloorPrecisionError(bad)
 
 
 def _letters_from_floors(floors, alphabet: Alphabet) -> Word:
@@ -243,15 +227,54 @@ def mechanical_upper(theta, rho, n: int, alphabet: Alphabet) -> Word:
         ceils = [0 if rho == 0 else 1] + [f + 1 for f in floors[1:]]
     else:
         theta = _check_slope_fraction(theta)
-        ceils = _ceils_rational(theta.numerator, theta.denominator, rho.numerator, rho.denominator, n)
+        # ceil(x) = -floor(-x)
+        ceils = [-f for f in _floors_rational(-theta.numerator, theta.denominator, -rho.numerator, rho.denominator, n)]
     return _letters_from_floors(ceils, alphabet)
 
 
+def standard_sequence(digits, m_b, m_a, power, product) -> Iterator:
+    """Yield M_0 = m_a, M_1, ... with M_{-1} = m_b and M_k = M_{k-1}^{d_k} M_{k-2}.
+
+    Generic over the monoid: letter tuples take (itertools.repeat, _join),
+    Mat2 takes (operator.pow, operator.matmul).  Only the last two terms are
+    held; a digit source that raises (SlopeCF.digit) ends it with that error.
+    """
+    prev, cur = m_b, m_a
+    yield cur
+    for d in digits:
+        prev, cur = cur, product(power(cur, d), prev)
+        yield cur
+
+
+def _join(words, last) -> Word:
+    # One tuple, with no copy of M_{k-1}^{d_k} on the way: as `*` and `+`,
+    # that copy raised the stream benchmark's peak RSS by 7 MB at some seeds.
+    return tuple(itertools.chain(itertools.chain.from_iterable(words), last))
+
+
+def _slope_words(slope: SlopeCF, alphabet: Alphabet) -> Iterator:
+    # M_0, M_1, ... of the slope as letter tuples; |M_k| = q_k
+    digits = map(slope.digit, itertools.count(1))
+    return standard_sequence(digits, (alphabet.b,), (alphabet.a,), itertools.repeat, _join)
+
+
+def _christoffel_conjugate(pq: Fraction, m_b, m_a, power, product):
+    # M_n of p/q = [0; c_1, ..., c_n] with d_1 = c_1 - 1, d_k = c_k after that
+    cf = fraction_cf(_check_slope_fraction(pq))
+    digits = (cf[0] - 1,) + cf[1:] if cf else ()
+    for m in standard_sequence(digits, m_b, m_a, power, product):
+        pass
+    return m
+
+
 def christoffel(pq: Fraction, alphabet: Alphabet) -> Word:
-    """Lower Christoffel word of slope p/q: the length-q prefix of s_{p/q,0}."""
-    pq = _check_slope_fraction(pq)
-    p, q = pq.numerator, pq.denominator
-    return tuple(alphabet.b if (m * p) // q - ((m - 1) * p) // q else alphabet.a for m in range(1, q + 1))
+    """Lower Christoffel word of slope p/q: the length-q prefix of s_{p/q,0}.
+
+    For q >= 2 the standard word M_n of p/q is P x y with {x, y} = {a, b},
+    and w_{p/q} = a P b (Lothaire, Algebraic Combinatorics on Words, ch. 2).
+    """
+    m = _christoffel_conjugate(pq, (alphabet.b,), (alphabet.a,), itertools.repeat, _join)
+    return (alphabet.a,) + m[:-2] + (alphabet.b,) if len(m) > 1 else m
 
 
 def fraction_cf(pq: Fraction) -> tuple:
@@ -275,17 +298,13 @@ def fraction_cf(pq: Fraction) -> tuple:
 def christoffel_trace(pq: Fraction, alphabet: Alphabet) -> int:
     """Trace of the Christoffel word of p/q, computed without building the word.
 
-    With p/q = [0; c_1, ..., c_n], the standard words M_{-1} = b, M_0 = a and
-    M_k = M_{k-1}^{d_k} M_{k-2}, with d_1 = c_1 - 1 and d_k = c_k after that,
-    end in M_n: a word of length q that is conjugate to w_{p/q}, and so has
-    the same trace.  Taking the matrix powers by repeated squaring costs
-    about sum(log2 d_k) big 2x2 products.  0/1 and 1/1 give a and b.
+    With p/q = [0; c_1, ..., c_n], d_1 = c_1 - 1 and d_k = c_k after that,
+    the standard word M_n is a conjugate of w_{p/q}, so it has the same trace.
+    standard_sequence runs on Mat2, where the powers by repeated squaring
+    cost about sum(log2 d_k) big 2x2 products.
     """
-    cf = fraction_cf(_check_slope_fraction(pq))
-    m_prev, m = Mat2(alphabet.b, 1, 1, 0), Mat2(alphabet.a, 1, 1, 0)
-    for k, c in enumerate(cf):
-        m_prev, m = m, (m ** (c - 1 if k == 0 else c)) @ m_prev
-    return m.trace
+    m_b, m_a = Mat2(alphabet.b, 1, 1, 0), Mat2(alphabet.a, 1, 1, 0)
+    return _christoffel_conjugate(pq, m_b, m_a, operator.pow, operator.matmul).trace
 
 
 def stern_brocot_parents(pq: Fraction) -> tuple:
@@ -323,38 +342,26 @@ def standard_words(slope: SlopeCF, k_max: int, alphabet: Alphabet) -> list:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    ms = [(alphabet.b,), (alphabet.a,)]
-    for k in range(1, k_max + 1):
-        ms.append(ms[-1] * slope.digit(k) + ms[-2])
-    return ms
-
-
-def _standard_words_spanning(slope: SlopeCF, length: int, alphabet: Alphabet) -> list:
-    ms = [(alphabet.b,), (alphabet.a,)]
-    k = 0
-    while len(ms[-1]) <= length:
-        k += 1
-        ms.append(ms[-1] * slope.digit(k) + ms[-2])
-    return ms
+    return [(alphabet.b,)] + list(itertools.islice(_slope_words(slope, alphabet), k_max + 1))
 
 
 def sturmian_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
     """First n letters of s_{theta,0}, exactly.
 
-    Uses the fact that w_{p_k/q_k} agrees with s_{theta,0} on its first
-    q_k - 1 letters, taking the first convergent with q_k > n + 1.
+    s_{theta,0} = a c_theta, so this is a followed by the first n - 1 letters
+    of the first standard word M_k with q_k >= n - 1.  The digits d_1..d_k
+    suffice: any continuation of them gives the same letters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, p, q = slope.convergent_exceeding(n + 1)
-    return christoffel(Fraction(p, q), alphabet)[:n]
+    return (alphabet.a,) + next(m for m in _slope_words(slope, alphabet) if len(m) >= n - 1)[: n - 1]
 
 
 def characteristic_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
-    """First n letters of s_{theta,theta}, the limit of the standard words."""
+    """First n letters of s_{theta,theta} = c_theta: every M_k is a prefix of it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _standard_words_spanning(slope, n, alphabet)[-1][:n]
+    return next(m for m in _slope_words(slope, alphabet) if len(m) >= n)[:n]
 
 
 def xi_word(alphabet: Alphabet, n: int) -> Word:
@@ -441,17 +448,18 @@ def classify_factor(m_word: Word, slope: SlopeCF, alphabet: Alphabet) -> FactorD
     n = len(m_word)
     if n < 1:
         raise ValueError("factor must be nonempty")
-    ms = _standard_words_spanning(slope, n, alphabet)
-    k = len(ms) - 3  # ms[-1] is M_{k+1}, the first standard word longer than n
-    q_k = len(ms[k + 1])
-    m_k = ms[k + 1]
-    m_km1 = ms[k]
+    # M_{k+1} is the first standard word longer than n; M_{-1} = b
+    m_km1, m_k = None, (alphabet.b,)
+    for k, m_kp1 in enumerate(_slope_words(slope, alphabet), start=-1):
+        if len(m_kp1) > n:
+            break
+        m_km1, m_k = m_k, m_kp1
+    q_k = len(m_k)
     d_next = slope.digit(k + 1)
     reference = m_k * (d_next + 1) + m_km1
     pos = _find_sub(reference, m_word)
     if pos >= 0:
         return FactorDecomposition(case="a", k=k, offset=pos)
-    m_kp1 = ms[k + 2]
     for u_len in range(0, n - (q_k - 1) + 1):
         u, v = m_word[:u_len], m_word[u_len:]
         if len(v) > len(m_kp1):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,14 +10,18 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from levycf import Alphabet, christoffel, trace
+import levycf
+from levycf import Alphabet, christoffel, parse_word, trace
 from levycf.cli import main
 
 CLI = [sys.executable, "-m", "levycf.cli"]
+# the child imports the same levycf as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(levycf.__file__))
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV)
 
 
 def run_json(*args):
@@ -48,6 +53,19 @@ class TestQuad:
         bare = run_json("quad", "--period", "1,2", "-a", "1", "-b", "2")
         with_pre = run_json("quad", "--period", "1,2", "--preperiod", "3", "-a", "1", "-b", "2")
         assert bare["results"]["value"] == with_pre["results"]["value"]
+
+    def test_long_period_folds_twice(self, monkeypatch, capsys):
+        # QuadPeriod.t folds once for the value and the trace field; mu_mean
+        # folds again (its root cross-check runs only up to 30 letters)
+        import levycf.levy
+
+        folds = []
+        fold = levycf.levy.trace
+        monkeypatch.setattr(levycf.levy, "trace", lambda w: folds.append(len(w)) or fold(w))
+        period = ",".join("2" if i % 3 == 0 else "1" for i in range(40))
+        assert main(["quad", "--period", period, "-a", "1", "-b", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["trace"] == trace(parse_word(period))
+        assert folds == [40, 40]
 
     def test_parse_failure_exits_2(self):
         proc = run_cli("quad", "--period", "1,x", "-a", "1", "-b", "2")
@@ -228,7 +246,7 @@ class TestOutput:
         # about 2 MB of JSON, far more than a pipe buffer holds, so the
         # writer is still writing when the reader goes away
         argv = CLI + ["curve", "--qmax", "300", "-a", "1", "-b", "2"]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as proc:
             assert proc.stdout.readline() == b"{\n"
             proc.stdout.close()
             stderr = proc.stderr.read()

@@ -10,6 +10,7 @@ from levycf import (
     InvalidWordError,
     Mat2,
     TruncatedStreamError,
+    as_word,
     cf_matrix,
     continuant,
     levy_empirical,
@@ -47,9 +48,11 @@ class TestCfMatrix:
         assert m.trace == 6
 
     def test_rejects_nonpositive_letters(self):
-        for bad in [(0,), (-1,), (1, 0, 2)]:
-            with pytest.raises(InvalidWordError):
-                cf_matrix(bad)
+        for fn in (as_word, cf_matrix, continuant, trace, tail_value):
+            for letter in (0, -1, True, 2.0, "1"):
+                for bad in [(letter,), (1, letter, 2)]:
+                    with pytest.raises(InvalidWordError, match=rf"^letters must be positive integers, got {letter!r}$"):
+                        fn(bad)
 
     def test_determinant_sign(self):
         rng = random.Random(11)

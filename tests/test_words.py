@@ -41,6 +41,22 @@ def reduced_fractions(qmax):
     return sorted({Fraction(p, q) for q in range(1, qmax + 1) for p in range(q + 1)})
 
 
+def mp_theta(slope, terms=150):
+    """theta = [0; 1+d1, d2, ...] at 50 digits, from its first `terms` digits."""
+    mpmath.mp.dps = 50
+    t = mpmath.mpf(0)
+    for k in range(terms, 0, -1):
+        t = 1 / (slope.digit(k) + (1 if k == 1 else 0) + t)
+    return t
+
+
+def mp_letters(theta, rho, n, rounding=mpmath.floor):
+    """First n letters of the mechanical word at 50 digits: b where the rounding steps up."""
+    rho = mpmath.mpf(rho.numerator) / rho.denominator
+    values = [int(rounding(m * theta + rho)) for m in range(n + 1)]
+    return tuple(AB.b if hi - lo else AB.a for lo, hi in zip(values, values[1:]))
+
+
 class TestAlphabet:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,6 +149,25 @@ class TestMechanicalWords:
         for n in (1, 2, 5, 13, 20):
             assert factor_set(lower, n) == factor_set(upper, n)
 
+    def test_refinement_against_mpmath_oracle(self):
+        # rho = u/q_k with q_k the first convergent denominator past 2n^2:
+        # whenever m*p_k/q_k + rho lands on an integer the floors are refined
+        # at the next convergent
+        from levycf.words import _floors_near_convergent
+
+        assert mechanical_lower(GOLDEN, Fraction(8, 13), 2, AB) == (1, 2)
+        refined = 0
+        for slope in (GOLDEN, SlopeCF((2, 1, 2), repeat=(1, 2)), SlopeCF((1,), repeat=(3, 1))):
+            theta = mp_theta(slope)
+            for n in (2, 3, 4):
+                _, p, q = slope.convergent_exceeding(2 * n * n)
+                for u in range(q):
+                    rho = Fraction(u, q)
+                    refined += _floors_near_convergent(p, q, u, q, n)[0] is None
+                    assert mechanical_lower(slope, rho, n, AB) == mp_letters(theta, rho, n)
+                    assert mechanical_upper(slope, rho, n, AB) == mp_letters(theta, rho, n, mpmath.ceil)
+        assert refined > 0
+
     def test_digit_list_too_short_for_refinement(self):
         # a slope with only a few known digits cannot reach q > 2 n^2
         s = SlopeCF((1,) * 24)
@@ -162,9 +197,12 @@ class TestChristoffel:
         assert christoffel(Fraction(2, 5), Alphabet(2, 5)) == (2, 2, 5, 2, 5)
 
     def test_matches_mechanical_up_to_q60(self):
-        for pq in reduced_fractions(60):
-            q = pq.denominator
-            assert christoffel(pq, AB) == mechanical_lower(pq, 0, q, AB)
+        for ab in (AB, Alphabet(2, 5), Alphabet(3, 4)):
+            for pq in reduced_fractions(60):
+                q = pq.denominator
+                assert christoffel(pq, ab) == mechanical_lower(pq, 0, q, ab)
+        for pq in (Fraction(7001, 20011), Fraction(1, 12345)):
+            assert christoffel(pq, AB) == mechanical_lower(pq, 0, pq.denominator, AB)
 
 
 class TestSternBrocot:
@@ -288,10 +326,33 @@ class TestSturmianPrefix:
         assert sturmian_prefix(GOLDEN, 500, AB) == mechanical_lower(GOLDEN, 0, 500, AB)
         slope = SlopeCF((2, 1, 2), repeat=(1, 2))
         assert sturmian_prefix(slope, 500, AB) == mechanical_lower(slope, 0, 500, AB)
+        # around a standard-word length q_k, where the prefix switches words
+        rng = random.Random(6)
+        for _ in range(20):
+            slope = SlopeCF(
+                tuple(rng.randrange(1, 6) for _ in range(rng.randrange(0, 4))),
+                repeat=tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 3))),
+            )
+            q_k = len(rng.choice(standard_words(slope, _largest_k_with_q_below(slope, 2000), AB)[1:]))
+            for n in (1, 2, q_k - 1, q_k, q_k + 1, 2000):
+                if n >= 1:
+                    assert sturmian_prefix(slope, n, AB) == mechanical_lower(slope, 0, n, AB)
 
     def test_insufficient_digits(self):
         with pytest.raises(InsufficientDigitsError):
             sturmian_prefix(SlopeCF((1, 1)), 50, AB)
+
+    def test_digit_boundary(self):
+        # d_1..d_K fix the first q_K + 1 letters, whatever digits follow
+        rng = random.Random(7)
+        for _ in range(10):
+            digits = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(1, 6)))
+            q_last = _convergent_denominators(SlopeCF(digits), len(digits))[-1]
+            prefix = sturmian_prefix(SlopeCF(digits), q_last + 1, AB)
+            for tail in ((1,), (2, 3), (7,)):
+                assert prefix == mechanical_lower(SlopeCF(digits, repeat=tail), 0, q_last + 1, AB)
+            with pytest.raises(InsufficientDigitsError):
+                sturmian_prefix(SlopeCF(digits), q_last + 2, AB)
 
     def test_characteristic_prefix_is_standard_word_limit(self):
         ms = standard_words(GOLDEN, 12, AB)

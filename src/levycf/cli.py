@@ -4,13 +4,15 @@ Every record carries the command echo, the alphabet, the input parameters,
 the results with an error bound (a number or "exact-to-rounding") and a
 method tag, and the wall time.  `--format csv` switches to CSV rows: the
 curve and xi commands emit their natural tables, everything else emits
-key,value rows.  Exit codes: 0 success, 2 usage, 3 target out of range,
+key,value rows.  Exit codes: 0 success, 1 no convergence (invert reached
+its step cap before the tolerance), 2 usage, 3 target out of range,
 4 insufficient input, 141 output pipe closed early (as in `levy ... | head`;
 nothing goes to stderr).
 """
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -51,6 +53,7 @@ from .words import (
 )
 
 EXIT_OK = 0
+EXIT_NO_CONVERGENCE = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_INPUT = 4
@@ -66,53 +69,42 @@ def _error_bound_field(bound):
     return "exact-to-rounding" if bound is None else _f15(bound)
 
 
-def _add_alphabet(p):
-    p.add_argument("-a", type=int, required=True, metavar="A", help="smaller alphabet letter")
-    p.add_argument("-b", type=int, required=True, metavar="B", help="larger alphabet letter")
-
-
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-
-
+@functools.cache
 def build_parser():
+    # Built on the first call, not at import, and then reused: main() runs
+    # many times in one process, and argparse trees are costly to build.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-a", type=int, required=True, metavar="A", help="smaller alphabet letter")
+    common.add_argument("-b", type=int, required=True, metavar="B", help="larger alphabet letter")
+    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+
     ap = argparse.ArgumentParser(
         prog="levy",
         description="Levy constants of periodic and Sturmian continued fractions over {a, b}.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    quad = sub.add_parser("quad", help="Levy constant of a periodic continued fraction")
+    quad = sub.add_parser("quad", help="Levy constant of a periodic continued fraction", parents=[common])
     quad.add_argument("--period", required=True, help="period word, comma-separated letters")
     quad.add_argument("--preperiod", default="", help="optional preperiod word (ignored by the value)")
-    _add_alphabet(quad)
-    _add_format(quad)
 
-    slope = sub.add_parser("slope", help="evaluate f at a rational or digit-given slope")
+    slope = sub.add_parser("slope", help="evaluate f at a rational or digit-given slope", parents=[common])
     slope.add_argument("fraction", nargs="?", help="rational slope p/q in [0, 1]")
     slope.add_argument("--cf", help="slope digits d1,d2,... (theta = [0; 1+d1, d2, ...])")
     slope.add_argument("--repeat", help="periodic digit tail appended after --cf digits")
     slope.add_argument("--depth", type=int, default=20, help="convergent index k for --cf slopes")
-    _add_alphabet(slope)
-    _add_format(slope)
 
-    curve = sub.add_parser("curve", help="sample f over all reduced fractions with q <= qmax")
+    curve = sub.add_parser("curve", help="sample f over all reduced fractions with q <= qmax", parents=[common])
     curve.add_argument("--qmax", type=int, required=True)
-    _add_alphabet(curve)
-    _add_format(curve)
 
-    invert = sub.add_parser("invert", help="find a slope realizing a target Levy value")
+    invert = sub.add_parser("invert", help="find a slope realizing a target Levy value", parents=[common])
     invert.add_argument("target", type=float)
     invert.add_argument("--tol", type=float, default=1e-8, help="enclosure width to reach")
-    _add_alphabet(invert)
-    _add_format(invert)
 
-    xi = sub.add_parser("xi", help="oscillation of log Q_{2^m}/2^m for the doubling-block word")
+    xi = sub.add_parser("xi", help="oscillation of log Q_{2^m}/2^m for the doubling-block word", parents=[common])
     xi.add_argument("--mmax", type=int, required=True)
-    _add_alphabet(xi)
-    _add_format(xi)
 
-    est = sub.add_parser("estimate", help="empirical Levy estimate from a letter stream")
+    est = sub.add_parser("estimate", help="empirical Levy estimate from a letter stream", parents=[common])
     src = est.add_mutually_exclusive_group(required=True)
     src.add_argument("--word", help="file with comma-separated letters, one word per line")
     src.add_argument("--slope", help="Sturmian source: slope digits d1,d2,...")
@@ -121,17 +113,8 @@ def build_parser():
     est.add_argument("-n", type=int, required=True, help="number of partial quotients to use")
     est.add_argument("--method", choices=("logq", "birkhoff"), default="logq")
     est.add_argument("--tail-depth", type=int, default=40)
-    _add_alphabet(est)
-    _add_format(est)
 
     return ap
-
-
-def _alphabet(args):
-    try:
-        return Alphabet(args.a, args.b)
-    except (TypeError, ValueError) as exc:
-        raise InvalidWordError(str(exc)) from None
 
 
 def _parse_digits(text):
@@ -141,31 +124,24 @@ def _parse_digits(text):
         raise InvalidWordError(f"cannot parse digits {text!r}: {exc}") from None
 
 
-def cmd_quad(args):
-    alphabet = _alphabet(args)
+def cmd_quad(args, alphabet):
     period = parse_word(args.period)
     preperiod = parse_word(args.preperiod)
     if not period:
         raise InvalidWordError("--period must be nonempty")
     qp = QuadPeriod(period=period, preperiod=preperiod)
     res = levy_quadratic(qp)
-    return {
-        "command": "quad",
-        "alphabet": {"a": alphabet.a, "b": alphabet.b},
-        "params": {"preperiod": format_word(preperiod), "period": format_word(period)},
-        "results": {
-            "trace": qp.t,
-            "period_length": qp.s,
-            "value": _f15(res.value),
-            "mu": _f15(mu_mean(period)),
-            "error_bound": _error_bound_field(res.error_bound),
-            "method": res.method,
-        },
+    return {"preperiod": format_word(preperiod), "period": format_word(period)}, {
+        "trace": qp.t,
+        "period_length": qp.s,
+        "value": _f15(res.value),
+        "mu": _f15(mu_mean(period)),
+        "error_bound": _error_bound_field(res.error_bound),
+        "method": res.method,
     }
 
 
-def cmd_slope(args):
-    alphabet = _alphabet(args)
+def cmd_slope(args, alphabet):
     if (args.fraction is None) == (args.cf is None):
         raise InvalidWordError("give exactly one of a p/q fraction or --cf digits")
     if args.fraction is not None:
@@ -180,18 +156,13 @@ def cmd_slope(args):
         if (frac.numerator, frac.denominator) != (p, q):
             print(f"warning: reduced {p}/{q} to {frac}", file=sys.stderr)
         sp = slope_point(frac, alphabet)
-        return {
-            "command": "slope",
-            "alphabet": {"a": alphabet.a, "b": alphabet.b},
-            "params": {"p": frac.numerator, "q": frac.denominator},
-            "results": {
-                "word": format_word(christoffel(frac, alphabet)),
-                "trace": sp.trace,
-                "f": _f15(sp.f_value),
-                "x": _f15(sp.x_value),
-                "error_bound": "exact-to-rounding",
-                "method": METHOD_RATIONAL,
-            },
+        return {"p": frac.numerator, "q": frac.denominator}, {
+            "word": format_word(christoffel(frac, alphabet)),
+            "trace": sp.trace,
+            "f": _f15(sp.f_value),
+            "x": _f15(sp.x_value),
+            "error_bound": "exact-to-rounding",
+            "method": METHOD_RATIONAL,
         }
     digits = _parse_digits(args.cf)
     repeat = _parse_digits(args.repeat) if args.repeat else ()
@@ -200,23 +171,17 @@ def cmd_slope(args):
         raise InvalidWordError("--depth must be >= 1")
     res = f_irrational(slope, args.depth, alphabet)
     p_k, q_k = slope.convergent(args.depth)
-    return {
-        "command": "slope",
-        "alphabet": {"a": alphabet.a, "b": alphabet.b},
-        "params": {"cf": list(digits), "repeat": list(repeat), "depth": args.depth},
-        "results": {
-            "p_k": p_k,
-            "q_k": q_k,
-            "f": _f15(res.value),
-            "tail_spread": _f15(tail_spread(alphabet)),
-            "error_bound": _error_bound_field(res.error_bound),
-            "method": res.method,
-        },
+    return {"cf": list(digits), "repeat": list(repeat), "depth": args.depth}, {
+        "p_k": p_k,
+        "q_k": q_k,
+        "f": _f15(res.value),
+        "tail_spread": _f15(tail_spread(alphabet)),
+        "error_bound": _error_bound_field(res.error_bound),
+        "method": res.method,
     }
 
 
-def cmd_curve(args):
-    alphabet = _alphabet(args)
+def cmd_curve(args, alphabet):
     if args.qmax < 1:
         raise InvalidWordError("--qmax must be >= 1")
     rows = [
@@ -226,65 +191,48 @@ def cmd_curve(args):
     for prev, cur in zip(rows, rows[1:]):
         if not prev["f"] < cur["f"]:
             raise AssertionError(f"f not strictly increasing at {cur['p']}/{cur['q']}")
-    return {
-        "command": "curve",
-        "alphabet": {"a": alphabet.a, "b": alphabet.b},
-        "params": {"qmax": args.qmax},
-        "results": {"count": len(rows), "rows": rows},
-    }
+    return {"qmax": args.qmax}, {"count": len(rows), "rows": rows}
 
 
-def cmd_invert(args):
-    alphabet = _alphabet(args)
+def cmd_invert(args, alphabet):
     if not 0 < args.tol < math.inf:
         raise InvalidWordError(f"--tol must be positive and finite, got {args.tol}")
     res = invert_f(args.target, alphabet, args.tol)
-    return {
-        "command": "invert",
-        "alphabet": {"a": alphabet.a, "b": alphabet.b},
-        "params": {"target": _f15(args.target), "tol": _f15(args.tol)},
-        "results": {
-            "lower": str(res.lower),
-            "upper": str(res.upper),
-            "mediant": str(res.mediant),
-            "f_lower": _f15(res.f_lower),
-            "f_upper": _f15(res.f_upper),
-            "width": _f15(res.width),
-            "cf_digits": list(res.cf_digits),
-            "exact": res.exact,
-            "steps": res.steps,
-        },
+    return {"target": _f15(args.target), "tol": _f15(args.tol)}, {
+        "lower": str(res.lower),
+        "upper": str(res.upper),
+        "mediant": str(res.mediant),
+        "f_lower": _f15(res.f_lower),
+        "f_upper": _f15(res.f_upper),
+        "width": _f15(res.width),
+        "cf_digits": list(res.cf_digits),
+        "exact": res.exact,
+        "steps": res.steps,
     }
 
 
-def cmd_xi(args):
-    alphabet = _alphabet(args)
+def cmd_xi(args, alphabet):
     if args.mmax < 4:
         raise InvalidWordError("--mmax must be >= 4")
     osc = xi_oscillation(alphabet, args.mmax)
     verdict = "no Levy constant" if osc.gap > 3.0 * osc.noise_floor else "inconclusive"
-    return {
-        "command": "xi",
-        "alphabet": {"a": alphabet.a, "b": alphabet.b},
-        "params": {"mmax": args.mmax},
-        "results": {
-            "points": [[m, _f15(u)] for m, u in osc.points],
-            "acc_even": _f15(osc.acc_even),
-            "acc_odd": _f15(osc.acc_odd),
-            "predicted_even": _f15(osc.predicted_even),
-            "predicted_odd": _f15(osc.predicted_odd),
-            "gap": _f15(osc.gap),
-            "predicted_gap": _f15(osc.predicted_gap),
-            "noise_floor": _f15(osc.noise_floor),
-            "verdict": verdict,
-        },
+    return {"mmax": args.mmax}, {
+        "points": [[m, _f15(u)] for m, u in osc.points],
+        "acc_even": _f15(osc.acc_even),
+        "acc_odd": _f15(osc.acc_odd),
+        "predicted_even": _f15(osc.predicted_even),
+        "predicted_odd": _f15(osc.predicted_odd),
+        "gap": _f15(osc.gap),
+        "predicted_gap": _f15(osc.predicted_gap),
+        "noise_floor": _f15(osc.noise_floor),
+        "verdict": verdict,
     }
 
 
-def cmd_estimate(args):
-    alphabet = _alphabet(args)
+def cmd_estimate(args, alphabet):
     if args.n < 1:
         raise InvalidWordError("-n must be >= 1")
+    birkhoff = args.method == "birkhoff"
     period = None
     if args.word:
         try:
@@ -297,17 +245,16 @@ def cmd_estimate(args):
         digits = _parse_digits(args.slope)
         repeat = _parse_digits(args.repeat) if args.repeat else ()
         slope = SlopeCF(digits, repeat=repeat)
-        need = args.n + (args.tail_depth if args.method == "birkhoff" else 0)
-        letters = sturmian_prefix(slope, need, alphabet)
+        letters = sturmian_prefix(slope, args.n + (args.tail_depth if birkhoff else 0), alphabet)
         source = {"slope_cf": list(digits), "repeat": list(repeat)}
     else:
         word = parse_word(args.periodic)
         if not word:
             raise InvalidWordError("--periodic must be nonempty")
-        need = args.n + max(len(word), args.tail_depth)
-        reps = need // len(word) + 1
-        letters = word * reps
-        if args.method == "logq":
+        # birkhoff reads n + tail_depth letters, the logq difference form n + period
+        need = args.n + (args.tail_depth if birkhoff else len(word))
+        letters = word * (need // len(word) + 1)
+        if not birkhoff:
             period = len(word)
         source = {"periodic": format_word(word)}
     res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
@@ -317,14 +264,9 @@ def cmd_estimate(args):
         "error_bound": _error_bound_field(res.error_bound),
         "method": res.method,
     }
-    if args.method == "birkhoff":
+    if birkhoff:
         results["tail_depth"] = args.tail_depth
-    return {
-        "command": "estimate",
-        "alphabet": {"a": alphabet.a, "b": alphabet.b},
-        "params": {**source, "n": args.n, "method": args.method},
-        "results": results,
-    }
+    return {**source, "n": args.n, "method": args.method}, results
 
 
 HANDLERS = {
@@ -378,11 +320,13 @@ def _int_digits_unlimited():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        record = HANDLERS[args.command](args)
+        # argparse types -a and -b as int, so a bad pair can only be a
+        # ValueError, which exits 2 like any other usage problem
+        alphabet = Alphabet(args.a, args.b)
+        params, results = HANDLERS[args.command](args, alphabet)
     except TargetOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"valid interval: [{exc.low:.15g}, {exc.high:.15g}]", file=sys.stderr)
@@ -395,8 +339,14 @@ def main(argv=None):
         return EXIT_USAGE
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    record["wall_time_s"] = time.perf_counter() - start
+        return EXIT_NO_CONVERGENCE
+    record = {
+        "command": args.command,
+        "alphabet": {"a": alphabet.a, "b": alphabet.b},
+        "params": params,
+        "results": results,
+        "wall_time_s": time.perf_counter() - start,
+    }
     try:
         with _int_digits_unlimited():
             if args.format == "csv":

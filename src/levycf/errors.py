@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 2 (argparse),
-TargetOutOfRangeError exits 3, TruncatedStreamError / InsufficientDigitsError
-exit 4.
+The CLI maps these onto exit codes: NoConvergenceError exits 1, usage
+problems exit 2 (argparse), TargetOutOfRangeError exits 3,
+TruncatedStreamError / InsufficientDigitsError exit 4.
 """
 
 

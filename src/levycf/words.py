@@ -252,10 +252,13 @@ def _join(words, last) -> Word:
     return tuple(itertools.chain(itertools.chain.from_iterable(words), last))
 
 
-def _slope_words(slope: SlopeCF, alphabet: Alphabet) -> Iterator:
-    # M_0, M_1, ... of the slope as letter tuples; |M_k| = q_k
+def _slope_words(slope: SlopeCF, alphabet: Alphabet, limit=None) -> Iterator:
+    # M_0, M_1, ... of the slope as letter tuples; |M_k| = q_k.  With a letter
+    # limit, a power M_{k-1}^{d_k} stops at the first copy that passes the
+    # limit: the word is then longer than the limit and agrees with M_k there.
     digits = map(slope.digit, itertools.count(1))
-    return standard_sequence(digits, (alphabet.b,), (alphabet.a,), itertools.repeat, _join)
+    power = itertools.repeat if limit is None else lambda w, d: itertools.repeat(w, min(d, limit // len(w) + 1))
+    return standard_sequence(digits, (alphabet.b,), (alphabet.a,), power, _join)
 
 
 def _christoffel_conjugate(pq: Fraction, m_b, m_a, power, product):
@@ -354,14 +357,14 @@ def sturmian_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (alphabet.a,) + next(m for m in _slope_words(slope, alphabet) if len(m) >= n - 1)[: n - 1]
+    return (alphabet.a,) + next(m for m in _slope_words(slope, alphabet, n - 1) if len(m) >= n - 1)[: n - 1]
 
 
 def characteristic_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
     """First n letters of s_{theta,theta} = c_theta: every M_k is a prefix of it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return next(m for m in _slope_words(slope, alphabet) if len(m) >= n)[:n]
+    return next(m for m in _slope_words(slope, alphabet, n) if len(m) >= n)[:n]
 
 
 def xi_word(alphabet: Alphabet, n: int) -> Word:

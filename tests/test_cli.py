@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -11,8 +13,10 @@ import jsonschema
 import pytest
 
 import levycf
+import levycf.cli
 from levycf import Alphabet, christoffel, parse_word, trace
 from levycf.cli import main
+from levycf.errors import NoConvergenceError
 
 CLI = [sys.executable, "-m", "levycf.cli"]
 # the child imports the same levycf as the tests, installed or not
@@ -174,6 +178,17 @@ class TestInvert:
             assert proc.stderr.startswith("error: --tol must be positive and finite")
             assert len(proc.stderr.splitlines()) == 1
 
+    def test_no_convergence_exits_1(self, monkeypatch, capsys):
+        def capped(*args):
+            raise NoConvergenceError("max_steps reached")
+
+        monkeypatch.setattr(levycf.cli, "invert_f", capped)
+        assert main(["invert", "0.6", "-a", "1", "-b", "2"]) == levycf.cli.EXIT_NO_CONVERGENCE == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: max_steps reached"]
+
+
 class TestXi:
     def test_verdict_and_schema(self, schema):
         record = run_json("xi", "--mmax", "12", "-a", "1", "-b", "2")
@@ -227,6 +242,20 @@ class TestEstimate:
         assert record["results"]["tail_depth"] == 40
         assert abs(record["results"]["value"] - 0.6180) < 0.05
 
+    def test_periodic_logq_ignores_tail_depth(self, capsys):
+        # logq reads n + period letters; --tail-depth pads only birkhoff's source
+        argv = ["estimate", "--periodic", "1,2", "-n", "10", "-a", "1", "-b", "2"]
+        assert main(argv) == 0
+        want = json.loads(capsys.readouterr().out)["results"]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--tail-depth", "1000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["results"] == want
+        assert peak < 1_000_000  # a 10^6-letter source alone would take 8 MB
+
     def test_conflicting_sources_exit_2(self):
         proc = run_cli("estimate", "--periodic", "1,2", "--slope", "1", "-n", "10", "-a", "1", "-b", "2")
         assert proc.returncode == 2
@@ -278,6 +307,60 @@ class TestOutput:
         assert sys.get_int_max_str_digits() == limit
         rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:])
         assert len(rows["results.trace"]) > 4300
+
+
+# one valid request per subcommand, without its alphabet
+REQUESTS = {
+    "quad": ["quad", "--period", "1,2"],
+    "slope": ["slope", "2/5"],
+    "curve": ["curve", "--qmax", "5"],
+    "invert": ["invert", "0.6"],
+    "xi": ["xi", "--mmax", "4"],
+    "estimate": ["estimate", "--periodic", "1,2", "-n", "10"],
+}
+
+
+class TestRecordPath:
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        levycf.cli.build_parser.cache_clear()
+        argv = REQUESTS["slope"] + ["-a", "1", "-b", "2"]
+        assert main(argv) == 0
+        assert built
+        built.clear()
+        assert main(argv) == 0
+        assert built == []
+
+    def test_no_state_between_calls(self, capsys):
+        assert main(["slope", "--cf", "1", "--repeat", "1", "--depth", "5", "-a", "1", "-b", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["depth"] == 5
+        assert main(["slope", "--cf", "1", "--repeat", "1", "-a", "1", "-b", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["depth"] == 20
+
+    @pytest.mark.parametrize("command", sorted(REQUESTS))
+    def test_bad_alphabet_exits_2(self, command, capsys):
+        for a, b in (("2", "1"), ("0", "1")):
+            assert main(REQUESTS[command] + ["-a", a, "-b", b]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert len(out.err.splitlines()) == 1
+            assert out.err.startswith("error: alphabet requires 1 <= a < b")
+
+    @pytest.mark.parametrize("command", sorted(REQUESTS))
+    def test_record_envelope(self, command, capsys, schema):
+        assert main(REQUESTS[command] + ["-a", "1", "-b", "2"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        jsonschema.validate(record, schema)
+        assert list(record) == ["command", "alphabet", "params", "results", "wall_time_s"]
+        assert record["command"] == command
+        assert record["alphabet"] == {"a": 1, "b": 2}
 
 
 class TestDeterminism:

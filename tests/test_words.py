@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -353,6 +354,23 @@ class TestSturmianPrefix:
                 assert prefix == mechanical_lower(SlopeCF(digits, repeat=tail), 0, q_last + 1, AB)
             with pytest.raises(InsufficientDigitsError):
                 sturmian_prefix(SlopeCF(digits), q_last + 2, AB)
+
+    def test_large_digit_builds_only_the_prefix(self):
+        # the power M_{k-1}^{d_k} stops at the copies the prefix reads, so a
+        # digit of 10^6 builds no 10^6-letter word
+        for digits in ((10**6,), (3, 10**6), (2, 5, 10**6)):
+            slope = SlopeCF(digits, repeat=(1,))
+            for n in (1, 2, 10, 37, 200):
+                want = mechanical_lower(slope, 0, n + 1, AB)
+                tracemalloc.start()
+                try:
+                    got = sturmian_prefix(slope, n, AB), characteristic_prefix(slope, n, AB)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # s_{theta,0} = a c_theta
+                assert got == (want[:n], want[1:])
+                assert peak < 100_000  # one 10^6-letter tuple alone takes 8 MB
 
     def test_characteristic_prefix_is_standard_word_limit(self):
         ms = standard_words(GOLDEN, 12, AB)

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .words import (
     format_word,
     load_words,
     parse_word,
-    sturmian_prefix,
+    sturmian_letters,
 )
 
 EXIT_OK = 0
@@ -245,17 +246,14 @@ def cmd_estimate(args, alphabet):
         digits = _parse_digits(args.slope)
         repeat = _parse_digits(args.repeat) if args.repeat else ()
         slope = SlopeCF(digits, repeat=repeat)
-        letters = sturmian_prefix(slope, args.n + (args.tail_depth if birkhoff else 0), alphabet)
+        letters = sturmian_letters(slope, alphabet)
         source = {"slope_cf": list(digits), "repeat": list(repeat)}
     else:
         word = parse_word(args.periodic)
         if not word:
             raise InvalidWordError("--periodic must be nonempty")
-        # birkhoff reads n + tail_depth letters, the logq difference form n + period
-        need = args.n + (args.tail_depth if birkhoff else len(word))
-        letters = word * (need // len(word) + 1)
-        if not birkhoff:
-            period = len(word)
+        letters = itertools.cycle(word)
+        period = None if birkhoff else len(word)
         source = {"periodic": format_word(word)}
     res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
     results = {

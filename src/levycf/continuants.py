@@ -85,10 +85,7 @@ def cf_matrix(w: Iterable[int]) -> Mat2:
 
 def continuant(w: Iterable[int]) -> int:
     """Continuant K(w): denominator of [0; w]. K(empty) = 1."""
-    k, k_prev = 1, 0
-    for x in as_word(w):
-        k, k_prev = x * k + k_prev, k
-    return k
+    return cf_matrix(w).e11
 
 
 def trace(w: Iterable[int]) -> int:

@@ -29,11 +29,11 @@ from .words import (
     Alphabet,
     Morphism,
     SlopeCF,
-    apply_morphism,
-    characteristic_prefix,
+    characteristic_letters,
     christoffel_trace,
     fraction_cf,
-    sturmian_prefix,
+    morphism_letters,
+    sturmian_letters,
     xi_blocks,
 )
 
@@ -227,19 +227,14 @@ def farey_points(qmax: int, alphabet: Alphabet) -> list:
 
 
 @lru_cache(maxsize=None)
-def _tail_spread(a: int, b: int) -> float:
-    # [b; a,b,a,b,...] - [a; b,a,b,a,...], the widest gap between two
-    # continued-fraction tails over {a, b}; both tails in closed form.
+def tail_spread(alphabet: Alphabet) -> float:
+    """[b; a,b,a,...] - [a; b,a,b,...], the widest gap between two tails over {a, b}."""
+    a, b = alphabet.a, alphabet.b
     ab = a * b
     d = math.sqrt(ab * (ab + 4))
     y = (-ab + d) / (2 * a)
     z = (-ab + d) / (2 * b)
     return (b + y) - (a + z)
-
-
-def tail_spread(alphabet: Alphabet) -> float:
-    """Cached per-alphabet constant used by the irrational-slope error bound."""
-    return _tail_spread(alphabet.a, alphabet.b)
 
 
 def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> LevyResult:
@@ -323,17 +318,17 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 
 
 def _collect(letters, count: int) -> np.ndarray:
-    if isinstance(letters, np.ndarray):
-        if letters.shape[0] < count:
-            raise TruncatedStreamError(f"need {count} letters, got {letters.shape[0]}")
-        arr = letters[:count].astype(np.float64)
-    else:
-        # A known length lets fromiter allocate the array once; growing it
-        # while reading a 1e6-letter stream raised peak RSS by 6 MB.
-        size = min(count, len(letters)) if hasattr(letters, "__len__") else -1
-        arr = np.fromiter(itertools.islice(letters, count), dtype=np.float64, count=size)
-        if arr.shape[0] < count:
-            raise TruncatedStreamError(f"need {count} letters, got {arr.shape[0]}")
+    # The first count letters of any iterable, read straight into one float64
+    # array allocated once (growing it raised peak RSS by 6 MB at 1e6 letters).
+    # A sized source that is too short fails before anything is allocated.
+    if hasattr(letters, "__len__") and len(letters) < count:
+        raise TruncatedStreamError(f"need {count} letters, got {len(letters)}")
+    try:
+        arr = np.fromiter(itertools.islice(letters, count), dtype=np.float64, count=count)
+    except ValueError as exc:
+        if not str(exc).startswith("iterator too short"):
+            raise  # the stream's own error, such as InsufficientDigitsError
+        raise TruncatedStreamError(f"need {count} letters: {exc}") from None
     if arr.min() < 1:
         raise InvalidWordError("letters must be >= 1")
     return arr
@@ -348,11 +343,14 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
                    period: Optional[int] = None) -> LevyResult:
     """Empirical Levy estimate over the first letters of a stream.
 
-    method "logq" returns (log Q_n)/n from _kernels.logq_scan;
-    with period=s (for streams known to be s-periodic) it switches to the
-    difference form (log Q_{n+s} - log Q_n)/s, which converges geometrically.
-    method "birkhoff" averages log of depth-limited continued-fraction tails
-    over n window starts.  All error_bounds here are heuristic.
+    letters is any iterable, sized or endless; only this function decides how
+    many are read.  method "logq" returns (log Q_n)/n over n letters.  With
+    period=s the stream must be purely s-periodic: the geometrically converging
+    difference form (log Q_{n+s} - log Q_n)/s then reads the first s letters
+    only, and takes O(s + DEPTH) memory and O(s * DEPTH) work for any n.  method
+    "birkhoff" averages the log of depth-limited continued-fraction tails over
+    n window starts, reading n + tail_depth letters.  All error_bounds here
+    are heuristic.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -360,8 +358,11 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         if period is not None:
             if period < 1:
                 raise ValueError("period must be >= 1")
-            arr = _collect(letters, n + period)
-            return LevyResult(_kernels.logq_scan(arr, n) / period, 1e-12, METHOD_LOGQ)
+            one = _collect(letters, period)
+            # letters lo .. n + period - 1: the kernel reads DEPTH - 1 before n
+            lo = max(0, n - _kernels.DEPTH + 1)
+            arr = one[(np.arange(n + period - lo) + lo % period) % period]
+            return LevyResult(_kernels.logq_scan(arr, n - lo) / period, 1e-12, METHOD_LOGQ)
         arr = _collect(letters, n)
         return LevyResult(_kernels.logq_scan(arr) / n, _heuristic_bias(int(arr.max()), n), METHOD_LOGQ)
     if method == "birkhoff":
@@ -371,7 +372,7 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         tails = _kernels.birkhoff_tails(arr, n, tail_depth)
         value = math.fsum(np.log(tails)) / n
         amin, amax = int(arr.min()), int(arr.max())
-        truncation = _tail_spread(amin, amax) / 2.0 ** (tail_depth - 2) if amax > amin else 0.0
+        truncation = math.ldexp(tail_spread(Alphabet(amin, amax)), 2 - tail_depth) if amax > amin else 0.0
         return LevyResult(value, truncation + _heuristic_bias(amax, n), METHOD_BIRKHOFF)
     raise ValueError(f"unknown method {method!r}")
 
@@ -468,19 +469,12 @@ def morphic_levy(phi: Morphism, slope: SlopeCF, n: int, method: str = "logq",
                  tail_depth: int = 40, intercept: str = "zero") -> LevyResult:
     """Empirical Levy estimate of [0; phi(s)] for a Sturmian source word s.
 
-    intercept "zero" feeds phi the prefix of s_{theta,0}; "slope" the prefix
-    of s_{theta,theta}.  The limit depends only on the slope; the estimate at
+    intercept "zero" feeds phi the stream s_{theta,0}; "slope" the stream
+    s_{theta,theta}.  The limit depends only on the slope; the estimate at
     finite n carries the usual heuristic error.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    need = n + (tail_depth if method == "birkhoff" else 0)
-    shortest = min(len(phi.image_a), len(phi.image_b))
-    src_len = (need + shortest - 1) // shortest
-    if intercept == "zero":
-        src = sturmian_prefix(slope, src_len, phi.alphabet)
-    elif intercept == "slope":
-        src = characteristic_prefix(slope, src_len, phi.alphabet)
-    else:
+    streams = {"zero": sturmian_letters, "slope": characteristic_letters}
+    if intercept not in streams:
         raise ValueError(f"unknown intercept {intercept!r}")
-    return levy_empirical(apply_morphism(phi, src), n, method=method, tail_depth=tail_depth)
+    src = streams[intercept](slope, phi.alphabet)
+    return levy_empirical(morphism_letters(phi, src), n, method=method, tail_depth=tail_depth)

@@ -92,17 +92,12 @@ class SlopeCF:
 
     def convergent(self, k: int) -> tuple:
         """(p_k, q_k)."""
-        for j, p, q in self.convergents():
-            if j == k:
-                return p, q
-        raise AssertionError("unreachable")
+        _, p, q = next(itertools.islice(self.convergents(), k, None))
+        return p, q
 
     def convergent_exceeding(self, bound) -> tuple:
         """First (k, p_k, q_k) with q_k > bound."""
-        for k, p, q in self.convergents():
-            if q > bound:
-                return k, p, q
-        raise AssertionError("unreachable")
+        return next(c for c in self.convergents() if c[2] > bound)
 
 
 @dataclass(frozen=True)
@@ -252,13 +247,10 @@ def _join(words, last) -> Word:
     return tuple(itertools.chain(itertools.chain.from_iterable(words), last))
 
 
-def _slope_words(slope: SlopeCF, alphabet: Alphabet, limit=None) -> Iterator:
-    # M_0, M_1, ... of the slope as letter tuples; |M_k| = q_k.  With a letter
-    # limit, a power M_{k-1}^{d_k} stops at the first copy that passes the
-    # limit: the word is then longer than the limit and agrees with M_k there.
+def _slope_words(slope: SlopeCF, alphabet: Alphabet) -> Iterator:
+    # M_0, M_1, ... of the slope as letter tuples; |M_k| = q_k
     digits = map(slope.digit, itertools.count(1))
-    power = itertools.repeat if limit is None else lambda w, d: itertools.repeat(w, min(d, limit // len(w) + 1))
-    return standard_sequence(digits, (alphabet.b,), (alphabet.a,), power, _join)
+    return standard_sequence(digits, (alphabet.b,), (alphabet.a,), itertools.repeat, _join)
 
 
 def _christoffel_conjugate(pq: Fraction, m_b, m_a, power, product):
@@ -348,51 +340,65 @@ def standard_words(slope: SlopeCF, k_max: int, alphabet: Alphabet) -> list:
     return [(alphabet.b,)] + list(itertools.islice(_slope_words(slope, alphabet), k_max + 1))
 
 
-def sturmian_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
-    """First n letters of s_{theta,0}, exactly.
+def characteristic_letters(slope: SlopeCF, alphabet: Alphabet) -> Iterator[int]:
+    """The characteristic word c_theta = s_{theta,theta}, as an endless letter stream.
 
-    s_{theta,0} = a c_theta, so this is a followed by the first n - 1 letters
-    of the first standard word M_k with q_k >= n - 1.  The digits d_1..d_k
-    suffice: any continuation of them gives the same letters.
+    M_0, then for k = 0, 1, ... the rest of M_{k+1} = M_k^{d_{k+1}} M_{k-1}
+    past its prefix M_k.  M_{k+1} is joined, and d_{k+1} asked for, only when
+    a letter past q_k is read, so a reader of n letters holds no longer word
+    and a short digit list raises InsufficientDigitsError at the first letter
+    it does not fix.
     """
+
+    def pieces():
+        yield (alphabet.a,)
+        pairs = itertools.pairwise(itertools.chain([(alphabet.b,)], _slope_words(slope, alphabet)))
+        for d, (prev, cur) in zip(map(slope.digit, itertools.count(1)), pairs):
+            yield from itertools.repeat(cur, d - 1)
+            yield prev
+
+    return itertools.chain.from_iterable(pieces())
+
+
+def sturmian_letters(slope: SlopeCF, alphabet: Alphabet) -> Iterator[int]:
+    """The Sturmian word s_{theta,0} = a c_theta, as an endless letter stream."""
+    return itertools.chain((alphabet.a,), characteristic_letters(slope, alphabet))
+
+
+def sturmian_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
+    """First n letters of s_{theta,0}, exactly: d_1..d_k with q_k >= n - 1 fix them."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (alphabet.a,) + next(m for m in _slope_words(slope, alphabet, n - 1) if len(m) >= n - 1)[: n - 1]
+    return tuple(itertools.islice(sturmian_letters(slope, alphabet), n))
 
 
 def characteristic_prefix(slope: SlopeCF, n: int, alphabet: Alphabet) -> Word:
     """First n letters of s_{theta,theta} = c_theta: every M_k is a prefix of it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return next(m for m in _slope_words(slope, alphabet, n) if len(m) >= n)[:n]
-
-
-def xi_word(alphabet: Alphabet, n: int) -> Word:
-    """Prefix of the doubling-block word xi: a, then blocks of 2^m letters.
-
-    Position 1 is a; positions 2^m + 1 .. 2^{m+1} hold b when m is even and
-    a when m is odd.  The continued fraction with these partial quotients has
-    no Levy constant.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = [alphabet.a]
-    m = 0
-    while len(out) < n:
-        letter = alphabet.b if m % 2 == 0 else alphabet.a
-        out.extend([letter] * min(2**m, n - len(out)))
-        m += 1
-    return tuple(out)
+    return tuple(itertools.islice(characteristic_letters(slope, alphabet), n))
 
 
 def xi_blocks(alphabet: Alphabet, m_max: int) -> list:
-    """Constant-letter runs (letter, length) covering the first 2^m_max letters of xi."""
+    """Constant-letter runs (letter, length) covering the first 2^m_max letters of xi.
+
+    xi is a, then 2^m letters b for each even m and a for each odd m; its
+    continued fraction has no Levy constant.
+    """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     blocks = [(alphabet.a, 1)]
     for m in range(m_max):
         blocks.append((alphabet.b if m % 2 == 0 else alphabet.a, 2**m))
     return blocks
+
+
+def xi_word(alphabet: Alphabet, n: int) -> Word:
+    """First n letters of the doubling-block word xi (see xi_blocks)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    blocks = xi_blocks(alphabet, max(1, (n - 1).bit_length()))
+    return tuple(itertools.islice(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, blocks)), n))
 
 
 def factor_set(w: Word, n: int) -> set:
@@ -472,17 +478,18 @@ def classify_factor(m_word: Word, slope: SlopeCF, alphabet: Alphabet) -> FactorD
     raise NotAFactorError(f"{m_word} is not a factor of the slope's word")
 
 
+def morphism_letters(phi: Morphism, w) -> Iterator[int]:
+    """Image of a letter stream under the substitution, read lazily."""
+    images = {phi.alphabet.a: phi.image_a, phi.alphabet.b: phi.image_b}
+    for x in w:
+        if (image := images.get(x)) is None:
+            raise InvalidWordError(f"letter {x} not in alphabet ({phi.alphabet.a}, {phi.alphabet.b})")
+        yield from image
+
+
 def apply_morphism(phi: Morphism, w: Word) -> Word:
     """Image of w under the substitution, letter by letter."""
-    out = []
-    for x in w:
-        if x == phi.alphabet.a:
-            out.extend(phi.image_a)
-        elif x == phi.alphabet.b:
-            out.extend(phi.image_b)
-        else:
-            raise InvalidWordError(f"letter {x} not in alphabet ({phi.alphabet.a}, {phi.alphabet.b})")
-    return tuple(out)
+    return tuple(morphism_letters(phi, w))
 
 
 def parse_word(text: str) -> Word:

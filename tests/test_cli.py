@@ -227,6 +227,14 @@ class TestEstimate:
         proc = run_cli("estimate", "--word", str(path), "-n", "100", "-a", "1", "-b", "2")
         assert proc.returncode == 4
 
+    def test_short_word_file_with_huge_n_exits_4(self, tmp_path):
+        # a sized source allocates no more than its own letters
+        path = tmp_path / "short.txt"
+        path.write_text("1,2,1\n")
+        proc = run_cli("estimate", "--word", str(path), "-n", "1000000000000", "-a", "1", "-b", "2")
+        assert proc.returncode == 4
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_missing_word_file_exits_2(self, tmp_path):
         path = tmp_path / "absent.txt"
         proc = run_cli("estimate", "--word", str(path), "-n", "100", "-a", "1", "-b", "2")
@@ -243,7 +251,7 @@ class TestEstimate:
         assert abs(record["results"]["value"] - 0.6180) < 0.05
 
     def test_periodic_logq_ignores_tail_depth(self, capsys):
-        # logq reads n + period letters; --tail-depth pads only birkhoff's source
+        # the logq difference form reads one period; --tail-depth is birkhoff's alone
         argv = ["estimate", "--periodic", "1,2", "-n", "10", "-a", "1", "-b", "2"]
         assert main(argv) == 0
         want = json.loads(capsys.readouterr().out)["results"]
@@ -255,6 +263,33 @@ class TestEstimate:
             tracemalloc.stop()
         assert json.loads(capsys.readouterr().out)["results"] == want
         assert peak < 1_000_000  # a 10^6-letter source alone would take 8 MB
+
+    def test_periodic_logq_at_huge_n(self):
+        # the difference form reads one period, whatever n is
+        record = run_json("estimate", "--periodic", "1,2", "-n", "1000000000000000000", "-a", "1", "-b", "2")
+        assert record["results"]["value"] == 0.658478948462408
+
+    def test_birkhoff_deep_tail_depth(self, capsys):
+        # the truncation term 2^(2 - tail_depth) underflows to 0, it does not overflow
+        argv = ["estimate", "--periodic", "1,2", "-n", "10", "--method", "birkhoff", "--tail-depth", "2000"]
+        assert main(argv + ["-a", "1", "-b", "2"]) == 0
+        bound = json.loads(capsys.readouterr().out)["results"]["error_bound"]
+        assert math.isfinite(bound) and bound > 0
+
+    def test_sturmian_stream_memory(self, capsys):
+        # letters go straight from the stream into the kernel's float array:
+        # 8 MB at n = 1e6, with no letter tuple beside it
+        argv = ["estimate", "--slope", "1,2,1,2,2,3,2,3,2,3,1,1,2,18", "--repeat", "2", "-a", "1", "-b", "2"]
+        assert main(argv + ["-n", "10"]) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv + ["-n", "1000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["results"]["value"] == 0.634341524561811
+        assert peak < 12_000_000
 
     def test_conflicting_sources_exit_2(self):
         proc = run_cli("estimate", "--periodic", "1,2", "--slope", "1", "-n", "10", "-a", "1", "-b", "2")

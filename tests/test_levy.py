@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,6 +40,7 @@ from levycf import (
     trace_poly,
     xi_oscillation,
 )
+from levycf import _kernels
 from levycf.levy import _mu_root, levy_from_trace
 
 AB = Alphabet(1, 2)
@@ -465,6 +469,19 @@ class TestLevyEmpirical:
         res = levy_empirical(letters, 1000, method="logq", period=2)
         assert abs(res.value - exact) < 1e-10
 
+    def test_periodic_difference_form_reads_one_period(self):
+        # an endless periodic stream: the estimate reads one period, and the
+        # kernel sees the same letters as on the full n + period array
+        tracemalloc.start()
+        try:
+            res = levy_empirical(itertools.cycle((1, 2)), 10**6, method="logq", period=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full = np.array((1, 2) * 500001, dtype=float)
+        assert res.value == _kernels.logq_scan(full, 10**6) / 2
+        assert peak < 1_000_000  # the full array alone takes 8 MB
+
     def test_periodic_difference_form_period_one(self):
         exact = letter_levy(1)
         res = levy_empirical([1] * 1001, 1000, method="logq", period=1)
@@ -498,6 +515,8 @@ class TestLevyEmpirical:
     def test_stream_exhaustion(self):
         with pytest.raises(TruncatedStreamError):
             levy_empirical(iter([1] * 10), 100)
+        with pytest.raises(TruncatedStreamError):
+            levy_empirical(iter([1]), 100, period=2)
         with pytest.raises(TruncatedStreamError):
             levy_empirical([1] * 50, 40, method="birkhoff", tail_depth=20)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +33,7 @@ from levycf import (
     sturmian_prefix,
     xi_word,
 )
-from levycf.words import xi_blocks
+from levycf.words import characteristic_letters, morphism_letters, sturmian_letters, xi_blocks
 
 AB = Alphabet(1, 2)
 GOLDEN = SlopeCF((), repeat=(1,))
@@ -354,9 +355,15 @@ class TestSturmianPrefix:
                 assert prefix == mechanical_lower(SlopeCF(digits, repeat=tail), 0, q_last + 1, AB)
             with pytest.raises(InsufficientDigitsError):
                 sturmian_prefix(SlopeCF(digits), q_last + 2, AB)
+            # the streams: every letter the digits fix, then the error at the next one
+            for stream, fixed in ((sturmian_letters, prefix), (characteristic_letters, prefix[1:])):
+                letters = stream(SlopeCF(digits), AB)
+                assert tuple(itertools.islice(letters, len(fixed))) == fixed
+                with pytest.raises(InsufficientDigitsError):
+                    next(letters)
 
     def test_large_digit_builds_only_the_prefix(self):
-        # the power M_{k-1}^{d_k} stops at the copies the prefix reads, so a
+        # the stream joins no standard word past the letters read, so a
         # digit of 10^6 builds no 10^6-letter word
         for digits in ((10**6,), (3, 10**6), (2, 5, 10**6)):
             slope = SlopeCF(digits, repeat=(1,))
@@ -529,6 +536,12 @@ class TestMorphism:
         phi = Morphism(AB, (1, 2), (3,))
         assert phi.h == 2
         assert phi.c_phi == max(continuant((1, 2)) / continuant((3,)), continuant((3,)) / continuant((1, 2)))
+
+    def test_image_of_an_endless_stream(self):
+        phi = Morphism(AB, (1, 2), (3,))
+        image = morphism_letters(phi, sturmian_letters(GOLDEN, AB))
+        want = apply_morphism(phi, sturmian_prefix(GOLDEN, 100, AB))
+        assert tuple(itertools.islice(image, len(want))) == want
 
     def test_letters_outside_alphabet_rejected(self):
         phi = Morphism(AB, (1, 2), (3,))

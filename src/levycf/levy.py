@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -226,7 +226,6 @@ def farey_points(qmax: int, alphabet: Alphabet) -> list:
     return points
 
 
-@lru_cache(maxsize=None)
 def tail_spread(alphabet: Alphabet) -> float:
     """[b; a,b,a,...] - [a; b,a,b,...], the widest gap between two tails over {a, b}."""
     a, b = alphabet.a, alphabet.b
@@ -318,17 +317,20 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 
 
 def _collect(letters, count: int) -> np.ndarray:
-    # The first count letters of any iterable, read straight into one float64
-    # array allocated once (growing it raised peak RSS by 6 MB at 1e6 letters).
-    # A sized source that is too short fails before anything is allocated.
+    # The first count letters of any iterable, as float64.  A short sized source
+    # fails before allocating; others are read a CHUNK at a time into a buffer
+    # that doubles in place up to count, so a short stream fails after its letters.
     if hasattr(letters, "__len__") and len(letters) < count:
         raise TruncatedStreamError(f"need {count} letters, got {len(letters)}")
-    try:
-        arr = np.fromiter(itertools.islice(letters, count), dtype=np.float64, count=count)
-    except ValueError as exc:
-        if not str(exc).startswith("iterator too short"):
-            raise  # the stream's own error, such as InsufficientDigitsError
-        raise TruncatedStreamError(f"need {count} letters: {exc}") from None
+    it, arr, filled = iter(letters), np.empty(min(count, _kernels.CHUNK)), 0
+    while filled < count:
+        if filled == arr.shape[0]:
+            arr.resize(min(2 * filled, count), refcheck=False)
+        piece = np.fromiter(itertools.islice(it, min(_kernels.CHUNK, arr.shape[0] - filled)), dtype=np.float64)
+        if not piece.shape[0]:
+            raise TruncatedStreamError(f"need {count} letters, got {filled}")
+        arr[filled : filled + piece.shape[0]] = piece
+        filled += piece.shape[0]
     if arr.min() < 1:
         raise InvalidWordError("letters must be >= 1")
     return arr
@@ -344,13 +346,13 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     """Empirical Levy estimate over the first letters of a stream.
 
     letters is any iterable, sized or endless; only this function decides how
-    many are read.  method "logq" returns (log Q_n)/n over n letters.  With
-    period=s the stream must be purely s-periodic: the geometrically converging
-    difference form (log Q_{n+s} - log Q_n)/s then reads the first s letters
-    only, and takes O(s + DEPTH) memory and O(s * DEPTH) work for any n.  method
-    "birkhoff" averages the log of depth-limited continued-fraction tails over
-    n window starts, reading n + tail_depth letters.  All error_bounds here
-    are heuristic.
+    many are read.  "logq" returns (log Q_n)/n from n letters; with period=s,
+    the geometrically converging difference form (log Q_{n+s} - log Q_n)/s:
+    a sized source is read for n + s letters and may have a preperiod, an
+    endless one must be purely s-periodic and is read for s letters only
+    (O(s + DEPTH) memory, O(s * DEPTH) work for any n).  "birkhoff" averages
+    the log of depth-limited continued-fraction tails over n window starts,
+    from n + tail_depth letters.  All error_bounds here are heuristic.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -358,11 +360,12 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         if period is not None:
             if period < 1:
                 raise ValueError("period must be >= 1")
-            one = _collect(letters, period)
-            # letters lo .. n + period - 1: the kernel reads DEPTH - 1 before n
-            lo = max(0, n - _kernels.DEPTH + 1)
-            arr = one[(np.arange(n + period - lo) + lo % period) % period]
-            return LevyResult(_kernels.logq_scan(arr, n - lo) / period, 1e-12, METHOD_LOGQ)
+            if hasattr(letters, "__len__"):
+                arr, start = _collect(letters, n + period), n
+            else:  # letters lo .. n + period - 1; the kernel reads DEPTH - 1 before n
+                lo = max(0, n - _kernels.DEPTH + 1)
+                arr, start = _collect(letters, period)[(np.arange(n + period - lo) + lo % period) % period], n - lo
+            return LevyResult(_kernels.logq_scan(arr, start) / period, 1e-12, METHOD_LOGQ)
         arr = _collect(letters, n)
         return LevyResult(_kernels.logq_scan(arr) / n, _heuristic_bias(int(arr.max()), n), METHOD_LOGQ)
     if method == "birkhoff":

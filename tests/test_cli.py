@@ -235,6 +235,13 @@ class TestEstimate:
         assert proc.returncode == 4
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_short_digit_list_with_huge_n_exits_4(self):
+        # an endless-looking stream is read in pieces, so digits that fix only
+        # 4 letters fail on the missing digit, not on an 8 TB allocation
+        proc = run_cli("estimate", "--slope", "1,1", "-n", "1000000000000", "-a", "1", "-b", "2")
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == ["error: slope digit d_3 unknown (only 2 given)"]
+
     def test_missing_word_file_exits_2(self, tmp_path):
         path = tmp_path / "absent.txt"
         proc = run_cli("estimate", "--word", str(path), "-n", "100", "-a", "1", "-b", "2")

@@ -482,6 +482,21 @@ class TestLevyEmpirical:
         assert res.value == _kernels.logq_scan(full, 10**6) / 2
         assert peak < 1_000_000  # the full array alone takes 8 MB
 
+    def test_periodic_difference_form_sized_source(self):
+        # a sized source is read for its first n + period letters, so a
+        # preperiod is allowed and a source shorter than that is an error
+        pure = levy_empirical(itertools.cycle((1, 2)), 1000, method="logq", period=2)
+        pre = levy_empirical((5, 7, 3) + (1, 2) * 600, 1000, method="logq", period=2)
+        assert pre.value == pure.value
+        with pytest.raises(TruncatedStreamError):
+            levy_empirical((1, 2) * 500, 1000, method="logq", period=2)
+
+    def test_stream_read_in_pieces(self):
+        # an unsized stream crosses several kernel chunks; the array equals the sized read
+        n = 3 * _kernels.CHUNK + 5
+        letters = sturmian_prefix(GOLDEN, n, AB)
+        assert levy_empirical(iter(letters), n).value == levy_empirical(letters, n).value
+
     def test_periodic_difference_form_period_one(self):
         exact = letter_levy(1)
         res = levy_empirical([1] * 1001, 1000, method="logq", period=1)

@@ -2,14 +2,14 @@
 """Check that two levycf source trees print the same outputs on the benchmark's requests.
 
     python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds 1 2 3]
-        [--workloads exact stream sweep] [--smoke]
 
 Each SRC is a directory that holds the `levycf` package, or a checkout whose
-`src/` does.  Every request of the chosen workloads and seeds is built with
-`perfbench/workloads.py`, then run once through `levycf.cli.main` in one child
-process per tree.  A request differs when its exit code, its stderr, or its
-stdout with the `wall_time_s` value left out differs between the trees.  Every
-differing request is listed; the exit code is 1 if any differs, else 0.
+`src/` does.  Every request of the exact, stream and sweep workloads at full
+size, for each seed, is built with `perfbench/workloads.py`, then run once
+through `levycf.cli.main` in one child process per tree.  A request differs
+when its exit code, its stderr, or its stdout with the `wall_time_s` value
+left out differs between the trees.  Every differing request is listed; the
+exit code is 1 if any differs, else 0.
 """
 
 import argparse
@@ -62,8 +62,6 @@ def main():
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workloads", nargs="+", default=["exact", "stream", "sweep"])
-    ap.add_argument("--smoke", action="store_true", help="the benchmark's tiny sizes")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -71,10 +69,10 @@ def main():
 
     differing = checked = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for name in args.workloads:
+        for name in ("exact", "stream", "sweep"):
             for seed in args.seeds:
                 # both trees read the same word files, so their paths print alike
-                requests, _ = workloads.generate(name, seed, "smoke" if args.smoke else "full", workdir)
+                requests, _ = workloads.generate(name, seed, "full", workdir)
                 argvs = [r["argv"] for r in requests]
                 pairs = zip(requests, outputs(args.parent_src, argvs), outputs(args.change_src, argvs))
                 for request, before, after in pairs:

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .levy import (
     METHOD_RATIONAL,
+    XI_MMAX,
     QuadPeriod,
     f_irrational,
     farey_points,
@@ -213,8 +214,8 @@ def cmd_invert(args, alphabet):
 
 
 def cmd_xi(args, alphabet):
-    if args.mmax < 4:
-        raise InvalidWordError("--mmax must be >= 4")
+    if not 4 <= args.mmax <= XI_MMAX:
+        raise InvalidWordError(f"--mmax must be in 4..{XI_MMAX}, got {args.mmax}")
     osc = xi_oscillation(alphabet, args.mmax)
     verdict = "no Levy constant" if osc.gap > 3.0 * osc.noise_floor else "inconclusive"
     return {"mmax": args.mmax}, {
@@ -321,8 +322,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        # argparse types -a and -b as int, so a bad pair can only be a
-        # ValueError, which exits 2 like any other usage problem
+        # a bad -a/-b pair (ValueError) or a letter past float range (OverflowError) exits 2
         alphabet = Alphabet(args.a, args.b)
         params, results = HANDLERS[args.command](args, alphabet)
     except TargetOutOfRangeError as exc:
@@ -332,7 +332,7 @@ def main(argv=None):
     except (TruncatedStreamError, InsufficientDigitsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvalidWordError, ValueError) as exc:
+    except (InvalidWordError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoConvergenceError as exc:

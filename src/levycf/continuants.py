@@ -19,7 +19,7 @@ _LN2 = math.log(2.0)
 
 
 class Mat2(NamedTuple):
-    """2x2 non-negative integer matrix, entries row-major."""
+    """2x2 non-negative matrix, entries row-major: ints, but floats in xi_oscillation's scaled product."""
 
     e11: int
     e12: int

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .continuants import Word, as_word, log_big, mediant_trace, trace
+from .continuants import Mat2, Word, as_word, log_big, mediant_trace, trace
 from .errors import (
     InvalidWordError,
     NoConvergenceError,
@@ -42,6 +42,7 @@ METHOD_RATIONAL = "rational-slope"
 METHOD_IRRATIONAL = "irrational-slope-bounded"
 METHOD_LOGQ = "empirical-logq"
 METHOD_BIRKHOFF = "empirical-birkhoff"
+XI_MMAX = 1000  # past m = 1023 the block length 2^m overflows a float
 
 
 @dataclass(frozen=True)
@@ -317,11 +318,8 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 
 
 def _collect(letters, count: int) -> np.ndarray:
-    # The first count letters of any iterable, as float64.  A short sized source
-    # fails before allocating; others are read a CHUNK at a time into a buffer
-    # that doubles in place up to count, so a short stream fails after its letters.
-    if hasattr(letters, "__len__") and len(letters) < count:
-        raise TruncatedStreamError(f"need {count} letters, got {len(letters)}")
+    # The first count letters of any iterable, as float64, read a CHUNK at a time into
+    # a buffer that doubles in place up to count: a short source fails after its letters.
     it, arr, filled = iter(letters), np.empty(min(count, _kernels.CHUNK)), 0
     while filled < count:
         if filled == arr.shape[0]:
@@ -408,16 +406,24 @@ class XiOscillation:
 
 
 def xi_oscillation(alphabet: Alphabet, m_max: int) -> XiOscillation:
-    """Scan the first 2^m_max letters of xi and locate both accumulation points."""
-    if m_max < 4:
-        raise ValueError("m_max must be >= 4")
-    letters, counts = zip(*xi_blocks(alphabet, m_max))
-    arr = np.repeat(np.array(letters, dtype=np.float64), counts)
-    total = _kernels.logq_scan(arr[:1])
-    points = []
-    for j in range(1, m_max + 1):
-        total += _kernels.logq_scan(arr[: 2**j], 2 ** (j - 1))
-        points.append((j, total / 2.0**j))
+    """Locate both accumulation points of u_m = log Q_{2^m} / 2^m, m = 1..m_max.
+
+    Q_{2^m} is the top-left entry, and the largest, of the product of xi's block
+    matrices.  By Cayley-Hamilton a block of N letters c is M_c^N = F_N M_c + F_{N-1} I,
+    and F_N / lam^N = (1 - z^N) / (lam + 1/lam) with lam = exp(letter_levy(c)) and
+    z = -1/lam^2: each block enters as M_c^N / lam^N, positive and in O(1) whatever N.
+    """
+    if not 4 <= m_max <= XI_MMAX:
+        raise ValueError(f"m_max must be in 4..{XI_MMAX}, got {m_max}")
+    prod, log_q, points = Mat2(alphabet.a, 1, 1, 0), 0.0, []
+    for j, (c, n) in enumerate(xi_blocks(alphabet, m_max)[1:], start=1):
+        lam = math.exp(letter_levy(c))
+        z = -1.0 / (lam * lam)
+        w, v = (1.0 - z**n) / (lam + 1.0 / lam), (1.0 - z ** (n - 1)) / (lam * lam + 1.0)
+        prod = prod @ Mat2(w * c + v, w, w, v)
+        log_q += n * letter_levy(c) + math.log(prod.e11)
+        prod = Mat2(1.0, prod.e12 / prod.e11, prod.e21 / prod.e11, prod.e22 / prod.e11)
+        points.append((j, math.ldexp(log_q, -j)))
     evens = [u for m, u in points if m % 2 == 0]
     odds = [u for m, u in points if m % 2 == 1]
     la, lb = letter_levy(alphabet.a), letter_levy(alphabet.b)

@@ -76,19 +76,12 @@ class SlopeCF:
     def convergents(self) -> Iterator[tuple]:
         """Yield (k, p_k, q_k) for k = 0, 1, 2, ... starting at 0/1.
 
-        The partial quotients of theta are 1+d1, d2, d3, ..., so q_1 = 1 + d1
-        and |M_k| = q_k matches the standard-word recursion.
+        q_k = |M_k| and p_k counts its b's: standard_sequence on (p, q) pairs from
+        M_{-1} = b -> (1, 1) and M_0 = a -> (0, 1), so q_1 = 1 + d1.
         """
-        p_prev, q_prev = 1, 0
-        p, q = 0, 1
-        yield 0, p, q
-        k = 0
-        while True:
-            k += 1
-            e = self.digit(k) + (1 if k == 1 else 0)
-            p, p_prev = e * p + p_prev, p
-            q, q_prev = e * q + q_prev, q
-            yield k, p, q
+        pairs = standard_sequence(map(self.digit, itertools.count(1)), (1, 1), (0, 1),
+                                  lambda m, d: (d * m[0], d * m[1]), lambda m, n: (m[0] + n[0], m[1] + n[1]))
+        return ((k, p, q) for k, (p, q) in enumerate(pairs))
 
     def convergent(self, k: int) -> tuple:
         """(p_k, q_k)."""

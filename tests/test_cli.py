@@ -200,6 +200,28 @@ class TestXi:
         proc = run_cli("xi", "--mmax", "3", "-a", "1", "-b", "2")
         assert proc.returncode == 2
 
+    def test_mmax_40_runs(self):
+        # 2^40 letters: the block product never builds them
+        record = run_json("xi", "--mmax", "40", "-a", "1", "-b", "2")
+        assert len(record["results"]["points"]) == 40
+
+    def test_mmax_1000_reaches_predicted_points(self):
+        record = run_json("xi", "--mmax", "1000", "-a", "1", "-b", "2")
+        la, lb = math.asinh(0.5), math.asinh(1.0)  # L(c) = log((c + sqrt(c^2 + 4))/2)
+        assert abs(record["results"]["acc_even"] - (2 * la + lb) / 3) < 1e-15
+        assert abs(record["results"]["acc_odd"] - (la + 2 * lb) / 3) < 1e-15
+
+    def test_mmax_above_bound_exits_2(self):
+        proc = run_cli("xi", "--mmax", "1001", "-a", "1", "-b", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: --mmax must be in 4..1000, got 1001"]
+
+    def test_letter_past_float_range_exits_2(self, capsys):
+        assert main(["xi", "--mmax", "5", "-a", "1", "-b", str(10**400)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+
     def test_csv_table(self):
         proc = run_cli("xi", "--mmax", "6", "-a", "1", "-b", "2", "--format", "csv")
         lines = proc.stdout.strip().splitlines()
@@ -241,6 +263,15 @@ class TestEstimate:
         proc = run_cli("estimate", "--slope", "1,1", "-n", "1000000000000", "-a", "1", "-b", "2")
         assert proc.returncode == 4
         assert proc.stderr.splitlines() == ["error: slope digit d_3 unknown (only 2 given)"]
+
+    @pytest.mark.parametrize("method", ["logq", "birkhoff"])
+    def test_letter_past_float_range_exits_2(self, method, capsys):
+        # the exact routes take such a letter; the float kernel cannot
+        argv = ["estimate", "--periodic", f"1,{10**400}", "-n", "10", "--method", method, "-a", "1", "-b", "2"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
 
     def test_missing_word_file_exits_2(self, tmp_path):
         path = tmp_path / "absent.txt"

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from _farey import farey_neighbor_pairs
 from levycf import (
     Alphabet,
+    IDENTITY,
+    Mat2,
     Morphism,
     NoConvergenceError,
     QuadPeriod,
@@ -28,6 +30,7 @@ from levycf import (
     letter_levy,
     levy_empirical,
     levy_quadratic,
+    log_big,
     mediant_trace,
     morphic_levy,
     mu_mean,
@@ -42,6 +45,7 @@ from levycf import (
 )
 from levycf import _kernels
 from levycf.levy import _mu_root, levy_from_trace
+from levycf.words import xi_blocks
 
 AB = Alphabet(1, 2)
 GOLDEN = SlopeCF((), repeat=(1,))
@@ -556,6 +560,21 @@ class TestXiOscillation:
     def test_mmax_validation(self):
         with pytest.raises(ValueError):
             xi_oscillation(AB, 3)
+        with pytest.raises(ValueError):
+            xi_oscillation(AB, 1001)
+
+    def test_points_match_exact_log_continuants(self):
+        # log Q_{2^m} / 2^m from integer products of block powers M_c^N, an
+        # oracle that shares no float arithmetic with the scaled product
+        for a, b in ((1, 2), (2, 5), (3, 4), (7, 100), (1, 1000)):
+            alphabet = Alphabet(a, b)
+            points = dict(xi_oscillation(alphabet, 16).points)
+            prod = IDENTITY
+            for m, (c, n) in enumerate(xi_blocks(alphabet, 16)):
+                prod = prod @ Mat2(c, 1, 1, 0) ** n
+                if m:
+                    exact = log_big(prod.e11) / 2**m
+                    assert abs(points[m] - exact) <= 1e-15 * exact, (a, b, m)
 
 
 class TestRnFamily:

@@ -90,6 +90,18 @@ class TestSlopeCF:
             if k == 8:
                 break
         assert qs == [1, 2, 3, 5, 8, 13, 21, 34, 55]
+        # seeded slopes, finite and eventually periodic, against [0; 1+d1, d2, ..., dk]
+        rng = random.Random(9)
+        for repeat in ((), (2,), (1, 3)):
+            slope = SlopeCF(tuple(rng.randint(1, 6) for _ in range(8)), repeat=repeat)
+            for k, p, q in itertools.islice(slope.convergents(), 14 if repeat else 9):
+                want = Fraction(0)
+                for i in range(k, 0, -1):
+                    want = 1 / (slope.digit(i) + (i == 1) + want)
+                assert (p, q) == (want.numerator, want.denominator)
+            if not repeat:
+                with pytest.raises(InsufficientDigitsError):
+                    slope.convergent(9)
 
     def test_validation(self):
         with pytest.raises(ValueError):

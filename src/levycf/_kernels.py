@@ -11,8 +11,7 @@ For letters >= 1 two steps of t -> a + 1/t contract by at least 1/4, so
 truncating every window at DEPTH = 56 letters moves r_k by at most
 4^-27 < 6e-17; windows that reach a_1 are padded with inf (1/inf = 0), which
 makes r_k for k <= DEPTH bit-identical to the forward recurrence from
-r_0 = inf.  The logs are summed exactly (math.fsum) per CHUNK of ratios, so
-the working set stays one chunk wide whatever n is.
+r_0 = inf.  logq_scan sums the logs exactly (math.fsum) in one sweep.
 """
 
 import math
@@ -20,7 +19,7 @@ import math
 import numpy as np
 
 DEPTH = 56
-CHUNK = 1 << 16
+CHUNK = 1 << 16  # new letters per array that levy._chunks hands the kernel
 
 # perfbench/worker.py reads this to report the kernel path
 USING_NUMBA = False
@@ -36,16 +35,10 @@ def birkhoff_tails(letters, count, depth):
 
 
 def logq_scan(letters, start=0):
-    """log Q_n - log Q_start for the float64 letters a_1..a_n, n = len(letters)."""
-    n = letters.shape[0]
-    sums = []
-    for lo in range(start, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        window = letters[max(0, lo - DEPTH + 1) : hi][::-1]
-        pad = max(0, DEPTH - 1 - lo)
-        if pad:
-            window = np.concatenate((window, np.full(pad, math.inf)))
-        t = birkhoff_tails(window, hi - lo, DEPTH)
-        np.log(t, out=t)
-        sums.append(math.fsum(t))
-    return math.fsum(sums)
+    """log Q_n - log Q_start for the float64 letters a_1..a_n, n = len(letters), in one sweep."""
+    window = letters[max(0, start - DEPTH + 1) :][::-1]
+    if start < DEPTH - 1:
+        window = np.concatenate((window, np.full(DEPTH - 1 - start, math.inf)))
+    t = birkhoff_tails(window, letters.shape[0] - start, DEPTH)
+    np.log(t, out=t)
+    return math.fsum(t)

@@ -241,22 +241,25 @@ def cmd_estimate(args, alphabet):
             words = load_words(args.word)
         except OSError as exc:
             raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
-        letters = [x for w in words for x in w]
-        source = {"word_file": args.word}
+        letters = itertools.chain.from_iterable(words)
+        flag, source = "--word", {"word_file": args.word}
     elif args.slope:
         digits = _parse_digits(args.slope)
         repeat = _parse_digits(args.repeat) if args.repeat else ()
         slope = SlopeCF(digits, repeat=repeat)
         letters = sturmian_letters(slope, alphabet)
-        source = {"slope_cf": list(digits), "repeat": list(repeat)}
+        flag, source = "--slope", {"slope_cf": list(digits), "repeat": list(repeat)}
     else:
         word = parse_word(args.periodic)
         if not word:
             raise InvalidWordError("--periodic must be nonempty")
         letters = itertools.cycle(word)
         period = None if birkhoff else len(word)
-        source = {"periodic": format_word(word)}
-    res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
+        flag, source = "--periodic", {"periodic": format_word(word)}
+    try:
+        res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
+    except OverflowError as exc:
+        raise OverflowError(f"the {flag} letters are too large for the float estimators ({exc})") from None
     results = {
         "n": args.n,
         "value": _f15(res.value),

@@ -143,7 +143,10 @@ def _trace_poly_with_derivative(n, x):
 def _mu_root(w: Word) -> float:
     """Positive root of T_n(mu) = T(w) by bisection plus Newton polish."""
     n = len(w)
-    lo, hi = float(min(w)), float(max(w))
+    try:
+        lo, hi = float(min(w)), float(max(w))
+    except OverflowError:
+        raise OverflowError("a letter is past float range for mu's cross-check") from None
     if lo == hi:
         return lo
     lt = log_big(trace(w))
@@ -170,7 +173,10 @@ def mu_mean(w: Word) -> float:
     w = as_word(w)
     if not w:
         raise ValueError("mu_mean requires a nonempty word")
-    r = math.exp(levy_from_trace(trace(w), len(w)))
+    try:
+        r = math.exp(levy_from_trace(trace(w), len(w)))
+    except OverflowError:
+        raise OverflowError("mu is past float range") from None
     mu = r - 1.0 / r
     if len(w) <= 30:
         other = _mu_root(w)
@@ -183,7 +189,11 @@ def _point(pq: Fraction, t: int) -> SlopePoint:
     # x is recovered as exp(f) - exp(-f) rather than by solving T_q(x) = T,
     # which would be ill-conditioned for large q.
     f = levy_from_trace(t, pq.denominator)
-    return SlopePoint(pq, f, math.exp(f) - math.exp(-f), t)
+    try:
+        x = math.exp(f) - math.exp(-f)
+    except OverflowError:
+        raise OverflowError(f"x at slope {pq.numerator}/{pq.denominator} is past float range (f = {f!r})") from None
+    return SlopePoint(pq, f, x, t)
 
 
 def slope_point(pq: Fraction, alphabet: Alphabet) -> SlopePoint:
@@ -317,21 +327,20 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     return InvertResult(Fraction(p_lo, q_lo), Fraction(p_hi, q_hi), med, f_lo, f_hi, fraction_cf(med), False, steps)
 
 
-def _collect(letters, count: int) -> np.ndarray:
-    # The first count letters of any iterable, as float64, read a CHUNK at a time into
-    # a buffer that doubles in place up to count: a short source fails after its letters.
-    it, arr, filled = iter(letters), np.empty(min(count, _kernels.CHUNK)), 0
+def _chunks(letters, count: int, keep: int):
+    # Yield (array, kept) over the first count letters of any iterable: kept (<= keep) letters of the
+    # last array, then max(CHUNK, 2 keep) new ones, as float64. A short source fails after its letters.
+    it, step, filled, arr = iter(letters), max(_kernels.CHUNK, 2 * keep), 0, np.empty(0)
     while filled < count:
-        if filled == arr.shape[0]:
-            arr.resize(min(2 * filled, count), refcheck=False)
-        piece = np.fromiter(itertools.islice(it, min(_kernels.CHUNK, arr.shape[0] - filled)), dtype=np.float64)
-        if not piece.shape[0]:
-            raise TruncatedStreamError(f"need {count} letters, got {filled}")
-        arr[filled : filled + piece.shape[0]] = piece
+        want = min(step, count - filled)
+        piece = np.fromiter(itertools.islice(it, want), dtype=np.float64)
+        if piece.min(initial=1.0) < 1:
+            raise InvalidWordError("letters must be >= 1")
         filled += piece.shape[0]
-    if arr.min() < 1:
-        raise InvalidWordError("letters must be >= 1")
-    return arr
+        if piece.shape[0] < want:
+            raise TruncatedStreamError(f"need {count} letters, got {filled}")
+        arr = np.concatenate((arr[max(0, arr.shape[0] - keep) :], piece))
+        yield arr, arr.shape[0] - piece.shape[0]
 
 
 def _heuristic_bias(amax: int, n: int) -> float:
@@ -358,21 +367,29 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         if period is not None:
             if period < 1:
                 raise ValueError("period must be >= 1")
-            if hasattr(letters, "__len__"):
-                arr, start = _collect(letters, n + period), n
-            else:  # letters lo .. n + period - 1; the kernel reads DEPTH - 1 before n
-                lo = max(0, n - _kernels.DEPTH + 1)
-                arr, start = _collect(letters, period)[(np.arange(n + period - lo) + lo % period) % period], n - lo
-            return LevyResult(_kernels.logq_scan(arr, start) / period, 1e-12, METHOD_LOGQ)
-        arr = _collect(letters, n)
-        return LevyResult(_kernels.logq_scan(arr) / n, _heuristic_bias(int(arr.max()), n), METHOD_LOGQ)
+            lo, count = max(0, n - _kernels.DEPTH + 1), n + period if hasattr(letters, "__len__") else period
+            for arr, _ in _chunks(letters, count, _kernels.DEPTH - 1 + period):
+                pass
+            # the kernel reads letters lo .. n + period - 1; letter k is arr[(k - count) % len(arr)]
+            arr = arr[(np.arange(lo, n + period) - count) % arr.shape[0]]
+            return LevyResult(_kernels.logq_scan(arr, n - lo) / period, 1e-12, METHOD_LOGQ)
+        pieces = [(_kernels.logq_scan(arr, kept), arr.max()) for arr, kept in _chunks(letters, n, _kernels.DEPTH - 1)]
+        amax = int(max(top for _, top in pieces))
+        return LevyResult(math.fsum(s for s, _ in pieces) / n, _heuristic_bias(amax, n), METHOD_LOGQ)
     if method == "birkhoff":
         if tail_depth < 2:
             raise ValueError("tail_depth must be >= 2")
-        arr = _collect(letters, n + tail_depth)
-        tails = _kernels.birkhoff_tails(arr, n, tail_depth)
-        value = math.fsum(np.log(tails)) / n
-        amin, amax = int(arr.min()), int(arr.max())
+        extremes = []
+
+        def logs():
+            # each of the n window starts is swept once, in the first array with its letters and one more
+            for arr, _ in _chunks(letters, n + tail_depth, tail_depth):
+                extremes.extend((arr.min(), arr.max()))
+                tails = _kernels.birkhoff_tails(arr, arr.shape[0] - tail_depth, tail_depth)
+                yield np.log(tails, out=tails)
+
+        value = math.fsum(itertools.chain.from_iterable(logs())) / n
+        amin, amax = int(min(extremes)), int(max(extremes))
         truncation = math.ldexp(tail_spread(Alphabet(amin, amax)), 2 - tail_depth) if amax > amin else 0.0
         return LevyResult(value, truncation + _heuristic_bias(amax, n), METHOD_BIRKHOFF)
     raise ValueError(f"unknown method {method!r}")
@@ -415,9 +432,13 @@ def xi_oscillation(alphabet: Alphabet, m_max: int) -> XiOscillation:
     """
     if not 4 <= m_max <= XI_MMAX:
         raise ValueError(f"m_max must be in 4..{XI_MMAX}, got {m_max}")
+    try:
+        lams = {c: math.exp(letter_levy(c)) for c in (alphabet.a, alphabet.b)}
+    except OverflowError:
+        raise OverflowError("letter b is past float range for xi's block products") from None
     prod, log_q, points = Mat2(alphabet.a, 1, 1, 0), 0.0, []
     for j, (c, n) in enumerate(xi_blocks(alphabet, m_max)[1:], start=1):
-        lam = math.exp(letter_levy(c))
+        lam = lams[c]
         z = -1.0 / (lam * lam)
         w, v = (1.0 - z**n) / (lam + 1.0 / lam), (1.0 - z ** (n - 1)) / (lam * lam + 1.0)
         prod = prod @ Mat2(w * c + v, w, w, v)

@@ -19,6 +19,7 @@ from levycf.cli import main
 from levycf.errors import NoConvergenceError
 
 CLI = [sys.executable, "-m", "levycf.cli"]
+HUGE = str(10**400)  # a letter past float range, written out
 # the child imports the same levycf as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(levycf.__file__))
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -79,6 +80,13 @@ class TestQuad:
         proc = run_cli("quad", "--period", "1")
         assert proc.returncode == 2
 
+    def test_letter_past_float_range_names_mu(self, capsys):
+        # the value is exact, but mu's root-finding cross-check runs in floats
+        assert main(["quad", "--period", f"1,{HUGE}", "-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: a letter is past float range for mu's cross-check"]
+
 
 class TestSlope:
     def test_rational(self, schema):
@@ -114,8 +122,24 @@ class TestSlope:
         proc = run_cli("slope", "--cf", "1,1", "--depth", "15", "-a", "1", "-b", "2")
         assert proc.returncode == 4
 
+    def test_x_past_float_range_names_the_slope(self, capsys):
+        # f(1) = L(b) is about 921, so x = exp(f) - exp(-f) is past float range; at 1/2 it is not
+        assert main(["slope", "1/1", "-a", "1", "-b", HUGE]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: x at slope 1/1 is past float range (f = 921.0340371976182)"]
+        assert main(["slope", "1/2", "-a", "1", "-b", HUGE]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert (results["f"], results["x"]) == (460.517018598809, 9.99999999999965e199)
+
 
 class TestCurve:
+    def test_x_past_float_range_names_the_slope(self, capsys):
+        assert main(["curve", "--qmax", "2", "-a", "1", "-b", HUGE]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: x at slope 1/1 is past float range (f = 921.0340371976182)"]
+
     def test_farey_5_row_count(self, schema):
         record = run_json("curve", "--qmax", "5", "-a", "1", "-b", "2")
         jsonschema.validate(record, schema)
@@ -217,10 +241,10 @@ class TestXi:
         assert proc.stderr.splitlines() == ["error: --mmax must be in 4..1000, got 1001"]
 
     def test_letter_past_float_range_exits_2(self, capsys):
-        assert main(["xi", "--mmax", "5", "-a", "1", "-b", str(10**400)]) == 2
+        assert main(["xi", "--mmax", "5", "-a", "1", "-b", HUGE]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert len(out.err.splitlines()) == 1
+        assert out.err.splitlines() == ["error: letter b is past float range for xi's block products"]
 
     def test_csv_table(self):
         proc = run_cli("xi", "--mmax", "6", "-a", "1", "-b", "2", "--format", "csv")
@@ -267,11 +291,13 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["logq", "birkhoff"])
     def test_letter_past_float_range_exits_2(self, method, capsys):
         # the exact routes take such a letter; the float kernel cannot
-        argv = ["estimate", "--periodic", f"1,{10**400}", "-n", "10", "--method", method, "-a", "1", "-b", "2"]
+        argv = ["estimate", "--periodic", f"1,{HUGE}", "-n", "10", "--method", method, "-a", "1", "-b", "2"]
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert len(out.err.splitlines()) == 1
+        assert out.err.splitlines() == [
+            "error: the --periodic letters are too large for the float estimators (int too large to convert to float)"
+        ]
 
     def test_missing_word_file_exits_2(self, tmp_path):
         path = tmp_path / "absent.txt"
@@ -315,8 +341,8 @@ class TestEstimate:
         assert math.isfinite(bound) and bound > 0
 
     def test_sturmian_stream_memory(self, capsys):
-        # letters go straight from the stream into the kernel's float array:
-        # 8 MB at n = 1e6, with no letter tuple beside it
+        # letters go from the stream to the kernel one chunk at a time, so what
+        # remains at n = 1e6 is the Sturmian stream's own standard-word tuples
         argv = ["estimate", "--slope", "1,2,1,2,2,3,2,3,2,3,1,1,2,18", "--repeat", "2", "-a", "1", "-b", "2"]
         assert main(argv + ["-n", "10"]) == 0
         capsys.readouterr()

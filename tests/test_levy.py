@@ -13,6 +13,7 @@ from _farey import farey_neighbor_pairs
 from levycf import (
     Alphabet,
     IDENTITY,
+    InvalidWordError,
     Mat2,
     Morphism,
     NoConvergenceError,
@@ -538,6 +539,45 @@ class TestLevyEmpirical:
             levy_empirical(iter([1]), 100, period=2)
         with pytest.raises(TruncatedStreamError):
             levy_empirical([1] * 50, 40, method="birkhoff", tail_depth=20)
+
+    def test_short_source_message(self):
+        # one letter short, inside the first piece and across a piece boundary
+        for n in (100, _kernels.CHUNK + 10):
+            with pytest.raises(TruncatedStreamError, match=f"^need {n} letters, got {n - 1}$"):
+                levy_empirical(iter([1] * (n - 1)), n)
+            with pytest.raises(TruncatedStreamError, match=f"^need {n + 40} letters, got {n + 39}$"):
+                levy_empirical(itertools.islice(itertools.cycle((1, 2)), n + 39), n, method="birkhoff")
+        with pytest.raises(TruncatedStreamError, match="^need 3 letters, got 2$"):
+            levy_empirical(iter([1, 2]), 10**6, period=3)
+
+    def test_bad_letter_before_short_source(self):
+        # letters are checked piece by piece, so a bad letter fails before the end of the source
+        with pytest.raises(InvalidWordError):
+            levy_empirical(iter([1, 0]), 100)
+
+    @pytest.mark.parametrize("method", ["logq", "birkhoff"])
+    def test_memory_follows_the_chunk_not_n(self, method):
+        tracemalloc.start()
+        try:
+            res = levy_empirical(itertools.cycle((1, 2, 2)), 10**6, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.value - levy_quadratic(QuadPeriod((1, 2, 2))).value) < 1e-3
+        assert peak < 4_000_000  # n float64 letters alone take 8 MB
+
+    @pytest.mark.parametrize("depth", [2, 40, 259])
+    def test_birkhoff_sweeps_each_window_once(self, monkeypatch, depth):
+        # a small CHUNK makes pieces cheap, so depth 259 = CHUNK + 3 keeps more than a chunk
+        monkeypatch.setattr(_kernels, "CHUNK", 256)
+        rng = random.Random(depth)
+        n = 3 * 259 + 5
+        letters = [rng.choice((1, 2, 5)) for _ in range(n + depth)]
+        full = np.array(letters, dtype=float)
+        res = levy_empirical(iter(letters), n, method="birkhoff", tail_depth=depth)
+        assert res.value == math.fsum(np.log(_kernels.birkhoff_tails(full, n, depth))) / n
+        truncation = math.ldexp(tail_spread(Alphabet(min(letters), max(letters))), 2 - depth)
+        assert res.error_bound == truncation + (math.log(2.0) + letter_levy(max(letters))) / n
 
     def test_bad_method(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,6 @@ from .levy import (
     letter_levy,
     levy_empirical,
     levy_quadratic,
-    mu_mean,
     slope_point,
     tail_spread,
     xi_oscillation,
@@ -137,7 +136,7 @@ def cmd_quad(args, alphabet):
         "trace": qp.t,
         "period_length": qp.s,
         "value": _f15(res.value),
-        "mu": _f15(mu_mean(period)),
+        "mu": _f15(qp.mu),
         "error_bound": _error_bound_field(res.error_bound),
         "method": res.method,
     }

@@ -10,6 +10,7 @@ because the map is strictly increasing across rational slopes.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -66,6 +67,23 @@ class QuadPeriod:
     def t(self) -> int:
         """Exact trace of the period, folded once per instance."""
         return trace(self.period)
+
+    @cached_property
+    def mu(self) -> float:
+        """The trace mean, the positive root of T_s(mu) = t: mu = r - 1/r with r = exp(L).
+
+        For periods up to 30 letters, _mu_root cross-checks it on the same trace to 1e-12.
+        """
+        try:
+            r = math.exp(levy_from_trace(self.t, self.s))
+        except OverflowError:
+            raise OverflowError("mu is past float range") from None
+        mu = r - 1.0 / r
+        if self.s <= 30:
+            other = _mu_root(self.period, log_big(self.t))
+            if not abs(other - mu) <= 1e-12 * max(1.0, abs(mu)):
+                raise ArithmeticError(f"mu routes disagree: closed={mu!r}, root={other!r}")
+        return mu
 
 
 @dataclass(frozen=True)
@@ -128,61 +146,33 @@ def trace_poly(n: int, x: float) -> float:
         raise ValueError(f"x must be positive, got {x}")
     if n == 0:
         return 2.0
-    return _trace_poly_with_derivative(n, x)[0]
-
-
-def _trace_poly_with_derivative(n, x):
     t_prev, t = 2.0, float(x)
-    d_prev, d = 0.0, 1.0
     for _ in range(n - 1):
         t_prev, t = t, x * t + t_prev
-        d_prev, d = d, t_prev + x * d + d_prev
-    return t, d
+    return t
 
 
-def _mu_root(w: Word) -> float:
-    """Positive root of T_n(mu) = T(w) by bisection plus Newton polish."""
-    n = len(w)
-    try:
-        lo, hi = float(min(w)), float(max(w))
-    except OverflowError:
-        raise OverflowError("a letter is past float range for mu's cross-check") from None
-    if lo == hi:
-        return lo
-    lt = log_big(trace(w))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+def _mu_root(w: Word, lt: float) -> float:
+    """Root of T_n(mu) = T(w) from lt = log T(w), bisecting [min(w), max(w)] to adjacent floats.
+
+    T_n is increasing, so a T_n(mid) that overflows to inf still compares as too large.
+    """
+    if lt >= math.log(sys.float_info.max):
+        raise OverflowError("the period's trace is past float range for mu's cross-check")
+    n, lo, hi = len(w), float(min(w)), float(max(w))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if math.log(trace_poly(n, mid)) < lt:
             lo = mid
         else:
             hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        t, d = _trace_poly_with_derivative(n, x)
-        x -= (math.log(t) - lt) * t / d
-    return x
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def mu_mean(w: Word) -> float:
-    """The trace mean mu of a word: the positive root of T_n(mu) = T(w).
-
-    Computed in closed form from the quadratic Levy value (mu = r - 1/r with
-    r = exp(L)); for words up to 30 letters the monotone root-finding route is
-    run as an independent cross-check and must agree to 1e-12.
-    """
-    w = as_word(w)
-    if not w:
-        raise ValueError("mu_mean requires a nonempty word")
-    try:
-        r = math.exp(levy_from_trace(trace(w), len(w)))
-    except OverflowError:
-        raise OverflowError("mu is past float range") from None
-    mu = r - 1.0 / r
-    if len(w) <= 30:
-        other = _mu_root(w)
-        if abs(other - mu) > 1e-12 * max(1.0, abs(mu)):
-            raise ArithmeticError(f"mu routes disagree: closed={mu!r}, root={other!r}")
-    return mu
+    """The trace mean mu of a nonempty word: QuadPeriod(w).mu, folding w once."""
+    return QuadPeriod(w).mu
 
 
 def _point(pq: Fraction, t: int) -> SlopePoint:
@@ -241,7 +231,11 @@ def tail_spread(alphabet: Alphabet) -> float:
     """[b; a,b,a,...] - [a; b,a,b,...], the widest gap between two tails over {a, b}."""
     a, b = alphabet.a, alphabet.b
     ab = a * b
-    d = math.sqrt(ab * (ab + 4))
+    try:
+        d = math.sqrt(ab * (ab + 4))
+    except OverflowError:
+        # ab past ~1.3e154: the spread is (b - a)(1 + 2 / (ab + d)), and 2 / (ab + d) < 1e-154 is below rounding
+        return float(b - a)
     y = (-ab + d) / (2 * a)
     z = (-ab + d) / (2 * b)
     return (b + y) - (a + z)
@@ -333,12 +327,13 @@ def _chunks(letters, count: int, keep: int):
     it, step, filled, arr = iter(letters), max(_kernels.CHUNK, 2 * keep), 0, np.empty(0)
     while filled < count:
         want = min(step, count - filled)
-        piece = np.fromiter(itertools.islice(it, want), dtype=np.float64)
-        if piece.min(initial=1.0) < 1:
+        # read with a count, so numpy allocates each piece once; a short source pads it with NaN
+        piece = np.fromiter(itertools.chain(itertools.islice(it, want), itertools.repeat(math.nan)), np.float64, want)
+        if (piece < 1).any():
             raise InvalidWordError("letters must be >= 1")
-        filled += piece.shape[0]
-        if piece.shape[0] < want:
-            raise TruncatedStreamError(f"need {count} letters, got {filled}")
+        if math.isnan(piece[-1]):
+            raise TruncatedStreamError(f"need {count} letters, got {filled + int(np.isnan(piece).argmax())}")
+        filled += want
         arr = np.concatenate((arr[max(0, arr.shape[0] - keep) :], piece))
         yield arr, arr.shape[0] - piece.shape[0]
 

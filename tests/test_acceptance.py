@@ -24,6 +24,7 @@ from levycf import (
     letter_levy,
     levy_empirical,
     levy_quadratic,
+    log_big,
     mechanical_lower,
     morphic_levy,
     rn_family,
@@ -268,7 +269,7 @@ def test_criterion_13_mu_route_equivalence():
     for _ in range(100):
         w = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 13)))
         mu = mu_mean(w)
-        worst_mu = max(worst_mu, abs(_mu_root(w) - mu) / max(1.0, mu))
+        worst_mu = max(worst_mu, abs(_mu_root(w, log_big(trace(w))) - mu) / max(1.0, mu))
         lv = levy_from_trace(trace(w), len(w))
         worst_levy = max(worst_levy, abs(math.log((mu + math.sqrt(mu * mu + 4)) / 2) - lv))
     ok = worst_mu < 1e-12 and worst_levy < 1e-12

@@ -59,18 +59,19 @@ class TestQuad:
         with_pre = run_json("quad", "--period", "1,2", "--preperiod", "3", "-a", "1", "-b", "2")
         assert bare["results"]["value"] == with_pre["results"]["value"]
 
-    def test_long_period_folds_twice(self, monkeypatch, capsys):
-        # QuadPeriod.t folds once for the value and the trace field; mu_mean
-        # folds again (its root cross-check runs only up to 30 letters)
+    @pytest.mark.parametrize("letters", [40, 3])
+    def test_period_folds_once(self, letters, monkeypatch, capsys):
+        # QuadPeriod.t folds the period once; the value, the trace field, mu
+        # and mu's root cross-check (run up to 30 letters) all read it
         import levycf.levy
 
         folds = []
         fold = levycf.levy.trace
         monkeypatch.setattr(levycf.levy, "trace", lambda w: folds.append(len(w)) or fold(w))
-        period = ",".join("2" if i % 3 == 0 else "1" for i in range(40))
+        period = ",".join("2" if i % 3 == 0 else "1" for i in range(letters))
         assert main(["quad", "--period", period, "-a", "1", "-b", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["trace"] == trace(parse_word(period))
-        assert folds == [40, 40]
+        assert folds == [letters]
 
     def test_parse_failure_exits_2(self):
         proc = run_cli("quad", "--period", "1,x", "-a", "1", "-b", "2")
@@ -81,11 +82,14 @@ class TestQuad:
         assert proc.returncode == 2
 
     def test_letter_past_float_range_names_mu(self, capsys):
-        # the value is exact, but mu's root-finding cross-check runs in floats
-        assert main(["quad", "--period", f"1,{HUGE}", "-a", "1", "-b", "2"]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.splitlines() == ["error: a letter is past float range for mu's cross-check"]
+        # the value is exact, but mu's root-finding cross-check evaluates T_n at the root in floats;
+        # a letter past float range, or 30 letters of 10^11 and 10^12, puts the trace past it
+        alternating = ",".join(str(10**11 if i % 2 == 0 else 10**12) for i in range(30))
+        for period in (f"1,{HUGE}", alternating):
+            assert main(["quad", "--period", period, "-a", "1", "-b", "2"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.splitlines() == ["error: the period's trace is past float range for mu's cross-check"]
 
 
 class TestSlope:
@@ -117,6 +121,12 @@ class TestSlope:
         q_k = record["results"]["q_k"]
         assert q_k == 1597
         assert abs(record["results"]["error_bound"] - 5 * g / q_k) < 1e-12
+
+    def test_cf_slope_with_huge_letter(self):
+        # a*b*(a*b + 4) is past float range, though each letter is not
+        record = run_json("slope", "--cf", "1", "--repeat", "1", "--depth", "5", "-a", "1", "-b", str(10**200))
+        assert record["results"]["tail_spread"] == 1e200
+        assert abs(record["results"]["error_bound"] - 5e200 / 13) <= 1e-14 * 5e200 / 13
 
     def test_cf_digits_exhausted_exits_4(self):
         proc = run_cli("slope", "--cf", "1,1", "--depth", "15", "-a", "1", "-b", "2")
@@ -298,6 +308,11 @@ class TestEstimate:
         assert out.err.splitlines() == [
             "error: the --periodic letters are too large for the float estimators (int too large to convert to float)"
         ]
+
+    def test_birkhoff_with_huge_letter_in_float_range(self):
+        # the truncation's tail spread over {1, 10^200} takes the float fallback
+        record = run_json("estimate", "--periodic", f"1,{10**200}", "-n", "100", "--method", "birkhoff", "-a", "1", "-b", "2")
+        assert abs(record["results"]["value"] - 100 * math.log(10)) < 1e-9
 
     def test_missing_word_file_exits_2(self, tmp_path):
         path = tmp_path / "absent.txt"

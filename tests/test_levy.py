@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -146,9 +147,34 @@ class TestMuMean:
         for _ in range(100):
             w = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 13)))
             mu = mu_mean(w)
-            assert abs(_mu_root(w) - mu) < 1e-12 * max(1.0, mu)
+            assert abs(_mu_root(w, log_big(trace(w))) - mu) < 1e-12 * max(1.0, mu)
             # log phi(mu) equals the quadratic Levy value
             assert abs(math.log(phi(mu)) - levy_from_trace(trace(w), len(w))) < 1e-12
+
+
+    def test_cross_check_runs_past_overflowing_trace_poly(self):
+        # T_2(mid) overflows to inf inside the bracket [1, 10^200]; the root is still found
+        w = (1, 10**200)
+        mu = QuadPeriod(w).mu
+        assert abs(_mu_root(w, log_big(trace(w))) - mu) <= 1e-12 * mu
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(w=st.lists(st.integers(1, 10**6), min_size=1, max_size=30).map(tuple))
+    def test_against_mpmath_root(self, w):
+        # the root of T_n(x) = T(w) at 50 digits, found by mpmath on log T_n(x) - log T(w)
+        with mpmath.workdps(50):
+            n, lt = len(w), mpmath.log(trace(w))
+
+            def log_t(x):
+                t_prev, t = mpmath.mpf(2), x
+                for _ in range(n - 1):
+                    t_prev, t = t, x * t + t_prev
+                return mpmath.log(t) - lt
+
+            lo, hi = min(w), max(w)
+            ref = mpmath.mpf(lo) if lo == hi else mpmath.findroot(log_t, (lo, hi), solver="anderson")
+            assert abs(QuadPeriod(w).mu - ref) <= 1e-13 * ref
+            assert abs(_mu_root(w, log_big(trace(w))) - ref) <= 1e-12 * ref
 
 
 class TestSlopePoint:
@@ -329,6 +355,19 @@ class TestFIrrational:
         assert all(a < b for a, b in zip(evens, evens[1:]))
         assert all(a > b for a, b in zip(odds, odds[1:]))
         assert max(evens) < min(odds)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(1, 10**6), b=st.builds(lambda m, k: m * 10**k, st.integers(2, 10**6), st.integers(0, 194)))
+    def test_tail_spread_against_mpmath(self, a, b):
+        # b spans every decade up to 10^200; past a*b of about 1.3e154 the integer a*b*(a*b + 4)
+        # is past float range and the float fallback runs.  The float formula's relative error is
+        # about b*eps/(b - a), so letters closer than b >= 2a are not held to 1e-12 here.
+        assume(2 * a <= b)
+        with mpmath.workdps(50):
+            ab = mpmath.mpf(a * b)
+            e = mpmath.sqrt(ab * (ab + 4)) - ab
+            ref = (b + e / (2 * a)) - (a + e / (2 * b))
+            assert abs(tail_spread(Alphabet(a, b)) - ref) <= 1e-12 * ref
 
     def test_small_bound_is_reachable(self):
         # bound arithmetic only: 5G/q_k < 1e-6 once q_k is large enough

@@ -48,7 +48,7 @@ XI_MMAX = 1000  # past m = 1023 the block length 2^m overflows a float
 
 @dataclass(frozen=True)
 class QuadPeriod:
-    """Eventually periodic partial quotients: optional preperiod, then a period."""
+    """Eventually periodic partial quotients: optional preperiod, then a period, folded once into t."""
 
     period: Word
     preperiod: Word = ()

@@ -151,7 +151,6 @@ class TestMuMean:
             # log phi(mu) equals the quadratic Levy value
             assert abs(math.log(phi(mu)) - levy_from_trace(trace(w), len(w))) < 1e-12
 
-
     def test_cross_check_runs_past_overflowing_trace_poly(self):
         # T_2(mid) overflows to inf inside the bracket [1, 10^200]; the root is still found
         w = (1, 10**200)

@@ -9,6 +9,7 @@ and log-space empirical estimators.
 from .continuants import (
     IDENTITY,
     Mat2,
+    ScaledMat2,
     as_word,
     cf_matrix,
     continuant,
@@ -43,6 +44,7 @@ from .levy import (
     mu_mean,
     rn_family,
     slope_point,
+    sturmian_logq,
     tail_spread,
     trace_poly,
     xi_oscillation,

@@ -33,13 +33,14 @@ from .levy import (
     METHOD_RATIONAL,
     XI_MMAX,
     QuadPeriod,
-    f_irrational,
+    f_convergent,
     farey_points,
     invert_f,
     letter_levy,
     levy_empirical,
     levy_quadratic,
     slope_point,
+    sturmian_logq,
     tail_spread,
     xi_oscillation,
 )
@@ -170,8 +171,8 @@ def cmd_slope(args, alphabet):
     slope = SlopeCF(digits, repeat=repeat)
     if args.depth < 1:
         raise InvalidWordError("--depth must be >= 1")
-    res = f_irrational(slope, args.depth, alphabet)
     p_k, q_k = slope.convergent(args.depth)
+    res = f_convergent(p_k, q_k, alphabet)
     return {"cf": list(digits), "repeat": list(repeat), "depth": args.depth}, {
         "p_k": p_k,
         "q_k": q_k,
@@ -234,7 +235,7 @@ def cmd_estimate(args, alphabet):
     if args.n < 1:
         raise InvalidWordError("-n must be >= 1")
     birkhoff = args.method == "birkhoff"
-    period = None
+    period = slope = None
     if args.word:
         try:
             words = load_words(args.word)
@@ -253,10 +254,13 @@ def cmd_estimate(args, alphabet):
         if not word:
             raise InvalidWordError("--periodic must be nonempty")
         letters = itertools.cycle(word)
-        period = None if birkhoff else len(word)
+        period = len(word)
         flag, source = "--periodic", {"periodic": format_word(word)}
     try:
-        res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
+        if slope is not None and not birkhoff:
+            res = sturmian_logq(slope, args.n, alphabet)
+        else:
+            res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
     except OverflowError as exc:
         raise OverflowError(f"the {flag} letters are too large for the float estimators ({exc})") from None
     results = {

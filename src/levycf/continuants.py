@@ -5,7 +5,8 @@ continued fraction.  Every word maps to the 2x2 integer matrix product of
 [[a_i, 1], [1, 0]]; its top-left entry is the continuant K (the denominator
 of [0; a_1, ..., a_n]) and its trace T drives the quadratic Levy formula.
 All integer arithmetic here is arbitrary precision; floats only appear in
-the log-space helpers.
+the log-space helpers and in ScaledMat2, the log-scaled float product for
+words whose continuants are too long to hold exactly.
 """
 
 import math
@@ -19,7 +20,7 @@ _LN2 = math.log(2.0)
 
 
 class Mat2(NamedTuple):
-    """2x2 non-negative matrix, entries row-major: ints, but floats in xi_oscillation's scaled product."""
+    """2x2 non-negative matrix, entries row-major: ints, but floats in xi_oscillation and ScaledMat2."""
 
     e11: int
     e12: int
@@ -40,24 +41,61 @@ class Mat2(NamedTuple):
         return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def __pow__(self, n: int) -> "Mat2":
-        """self**n by left-to-right repeated squaring; identity for n = 0.
-
-        Takes bit_length(n) - 1 squarings plus one product by self for each
-        further set bit of n.
-        """
-        if n < 0:
-            raise ValueError(f"Mat2 power must be >= 0, got {n}")
-        if n == 0:
-            return IDENTITY
-        result = self
-        for bit in bin(n)[3:]:
-            result = result @ result
-            if bit == "1":
-                result = result @ self
-        return result
+        return _power(self, n, IDENTITY)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
+
+
+class ScaledMat2(NamedTuple):
+    """Nonnegative 2x2 matrix exp(log_scale) * mantissa, the float mantissa renormalised to max entry 1.
+
+    A product of nonnegative matrices does not cancel, so each entry of a
+    product of k factors keeps a relative error of about k * eps whatever its
+    size (Higham, Accuracy and Stability of Numerical Algorithms, 3.5), and
+    the log scale carries the magnitude, so nothing overflows.
+    """
+
+    mantissa: Mat2
+    log_scale: float
+
+    @classmethod
+    def of(cls, m: Mat2) -> "ScaledMat2":
+        """Scale a nonnegative, nonzero Mat2; int entries of any size convert without overflow."""
+        top = max(m)
+        return cls(Mat2(m.e11 / top, m.e12 / top, m.e21 / top, m.e22 / top), math.log(top))
+
+    @property
+    def log_e11(self) -> float:
+        return self.log_scale + math.log(self.mantissa.e11)
+
+    def __matmul__(self, other: "ScaledMat2") -> "ScaledMat2":
+        p = ScaledMat2.of(self.mantissa @ other.mantissa)
+        return ScaledMat2(p.mantissa, self.log_scale + other.log_scale + p.log_scale)
+
+    def __pow__(self, n: int) -> "ScaledMat2":
+        return _power(self, n, SCALED_IDENTITY)
+
+
+SCALED_IDENTITY = ScaledMat2(Mat2(1.0, 0.0, 0.0, 1.0), 0.0)
+
+
+def _power(m, n: int, identity):
+    """m**n by left-to-right repeated squaring; identity for n = 0.
+
+    Takes bit_length(n) - 1 squarings plus one product by m for each
+    further set bit of n.
+    """
+    if n < 0:
+        raise ValueError(f"{type(m).__name__} power must be >= 0, got {n}")
+    if n == 0:
+        return identity
+    result = m
+    for bit in bin(n)[3:]:
+        result = result @ result
+        if bit == "1":
+            result = result @ m
+    return result
 
 
 def as_word(letters: Iterable[int]) -> Word:

@@ -8,6 +8,7 @@ slope -> Levy-constant map inverts by Stern-Brocot bisection, which is valid
 because the map is strictly increasing across rational slopes.
 """
 
+import decimal
 import itertools
 import math
 import sys
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .continuants import Mat2, Word, as_word, log_big, mediant_trace, trace
+from .continuants import Mat2, ScaledMat2, Word, as_word, log_big, mediant_trace, trace
 from .errors import (
     InvalidWordError,
     NoConvergenceError,
@@ -34,6 +35,7 @@ from .words import (
     christoffel_trace,
     fraction_cf,
     morphism_letters,
+    standard_sequence,
     sturmian_letters,
     xi_blocks,
 )
@@ -227,29 +229,37 @@ def farey_points(qmax: int, alphabet: Alphabet) -> list:
     return points
 
 
+_SPREAD_CONTEXT = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def tail_spread(alphabet: Alphabet) -> float:
-    """[b; a,b,a,...] - [a; b,a,b,...], the widest gap between two tails over {a, b}."""
+    """[b; a,b,a,...] - [a; b,a,b,...], the widest gap between two tails over {a, b}.
+
+    With d = sqrt(ab (ab + 4)) the two tails are b + (d - ab)/2a and
+    a + (d - ab)/2b, so the gap is (b - a)(1 + 2/(ab + d)), a form that does
+    not cancel when the letters are close.  It is evaluated at 50 digits in
+    decimal and rounded once to a float.
+    """
     a, b = alphabet.a, alphabet.b
-    ab = a * b
-    try:
-        d = math.sqrt(ab * (ab + 4))
-    except OverflowError:
-        # ab past ~1.3e154: the spread is (b - a)(1 + 2 / (ab + d)), and 2 / (ab + d) < 1e-154 is below rounding
-        return float(b - a)
-    y = (-ab + d) / (2 * a)
-    z = (-ab + d) / (2 * b)
-    return (b + y) - (a + z)
+    float(b - a)  # a spread past float range raises OverflowError here, not inf below
+    with decimal.localcontext(_SPREAD_CONTEXT):
+        ab = decimal.Decimal(a * b)
+        return float((b - a) * (1 + 2 / (ab + (ab * (ab + 4)).sqrt())))
 
 
 def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> LevyResult:
-    """f at an irrational slope, evaluated at its k-th convergent.
-
-    The returned error_bound 5*G/q_k (G the per-alphabet tail spread) is a
-    rigorous bound on |f(theta) - f(p_k/q_k)|.
-    """
+    """f at an irrational slope, evaluated at its k-th convergent (see f_convergent)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p, q = slope.convergent(k)
+    return f_convergent(*slope.convergent(k), alphabet)
+
+
+def f_convergent(p: int, q: int, alphabet: Alphabet) -> LevyResult:
+    """f(p/q) for a convergent p/q of an irrational slope theta.
+
+    The returned error_bound 5*G/q (G the per-alphabet tail spread) is a
+    rigorous bound on |f(theta) - f(p/q)|.
+    """
     sp = slope_point(Fraction(p, q), alphabet)
     return LevyResult(sp.f_value, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL)
 
@@ -343,6 +353,15 @@ def _heuristic_bias(amax: int, n: int) -> float:
     return (math.log(2.0) + letter_levy(amax)) / n
 
 
+def _exact_sum(values) -> Fraction:
+    # The exact sum of a float array: math.fsum rounds it once, and each pass adds the rounded remainder.
+    values, total = values.tolist(), Fraction(0)
+    while part := math.fsum(values):
+        values.append(-part)
+        total += Fraction(part)
+    return total
+
+
 def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
                    period: Optional[int] = None) -> LevyResult:
     """Empirical Levy estimate over the first letters of a stream.
@@ -354,14 +373,21 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     endless one must be purely s-periodic and is read for s letters only
     (O(s + DEPTH) memory, O(s * DEPTH) work for any n).  "birkhoff" averages
     the log of depth-limited continued-fraction tails over n window starts,
-    from n + tail_depth letters.  All error_bounds here are heuristic.
+    from n + tail_depth letters.  With period=s it takes the source as purely
+    s-periodic: the window logs repeat with the period, so for n = k s + r
+    their sum is k S_s + P_r, from the first min(n, s) windows and
+    min(n, s) + tail_depth letters (O(s * tail_depth) work for any n).  That
+    sum is exact before its one rounding, so value, extremes and error_bound
+    are bit for bit those of the sweep over all n windows.  All error_bounds
+    here are heuristic.  sturmian_logq gives "logq" on a Sturmian stream
+    without reading its letters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if period is not None and period < 1:
+        raise ValueError("period must be >= 1")
     if method == "logq":
         if period is not None:
-            if period < 1:
-                raise ValueError("period must be >= 1")
             lo, count = max(0, n - _kernels.DEPTH + 1), n + period if hasattr(letters, "__len__") else period
             for arr, _ in _chunks(letters, count, _kernels.DEPTH - 1 + period):
                 pass
@@ -376,18 +402,64 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
             raise ValueError("tail_depth must be >= 2")
         extremes = []
 
-        def logs():
-            # each of the n window starts is swept once, in the first array with its letters and one more
-            for arr, _ in _chunks(letters, n + tail_depth, tail_depth):
+        def logs(windows):
+            # each window start is swept once, in the first array with its letters and one more
+            for arr, _ in _chunks(letters, windows + tail_depth, tail_depth):
                 extremes.extend((arr.min(), arr.max()))
                 tails = _kernels.birkhoff_tails(arr, arr.shape[0] - tail_depth, tail_depth)
                 yield np.log(tails, out=tails)
 
-        value = math.fsum(itertools.chain.from_iterable(logs())) / n
+        if period is None or n <= period:
+            value = math.fsum(itertools.chain.from_iterable(logs(n))) / n
+        else:
+            k, r = divmod(n, period)
+            whole = prefix = Fraction(0)
+            done = 0
+            for chunk in logs(period):
+                whole += _exact_sum(chunk)
+                prefix += _exact_sum(chunk[: max(0, r - done)])
+                done += chunk.shape[0]
+            value = float(k * whole + prefix) / n
         amin, amax = int(min(extremes)), int(max(extremes))
         truncation = math.ldexp(tail_spread(Alphabet(amin, amax)), 2 - tail_depth) if amax > amin else 0.0
         return LevyResult(value, truncation + _heuristic_bias(amax, n), METHOD_BIRKHOFF)
     raise ValueError(f"unknown method {method!r}")
+
+
+def sturmian_logq(slope: SlopeCF, n: int, alphabet: Alphabet) -> LevyResult:
+    """(log Q_n)/n of the Sturmian word s_{theta,0}, from the Ostrowski digits of n - 1.
+
+    Write n - 1 greedily as sum b_k q_k with q_k = |M_k|.  The length-(n - 1)
+    prefix of c_theta is then M_K^{b_K} ... M_1^{b_1} M_0^{b_0} (T. C. Brown,
+    Canad. Math. Bull. 36, 1993), so Q_n is the top-left entry of
+    cf_matrix(a) times the product of the cf_matrix(M_k)^{b_k}, with no
+    letter generated: O(sum log d_k + log n) scaled products for any n.
+    standard_sequence runs on (ScaledMat2, length) pairs until q_k >= n - 1,
+    which asks for the digits that levy_empirical(sturmian_letters(...)) asks
+    for, so a short digit list raises the same InsufficientDigitsError at the
+    same n.  The error_bound and method are those of that route.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a, b, rest = alphabet.a, alphabet.b, n - 1
+    # s_{theta,0} = a a^{d_1} b ...: b is among the first n letters iff n - 1 > d_1.  The stream
+    # route reads each letter as a float, so one past float range fails here as it fails there.
+    float(a)
+    amax = b if rest > slope.digit(1) else a
+    float(amax)
+    letter_b, letter_a = (ScaledMat2.of(Mat2(x, 1, 1, 0)) for x in (b, a))
+    words = []
+    for m, q in standard_sequence(map(slope.digit, itertools.count(1)), (letter_b, 1), (letter_a, 1),
+                                  lambda w, d: (w[0] ** d, w[1] * d), lambda w, v: (w[0] @ v[0], w[1] + v[1])):
+        words.append((m, q))
+        if q >= rest:
+            break
+    prod = letter_a
+    for m, q in reversed(words):
+        digit, rest = divmod(rest, q)
+        if digit:
+            prod = prod @ m**digit
+    return LevyResult(prod.log_e11 / n, _heuristic_bias(amax, n), METHOD_LOGQ)
 
 
 @dataclass(frozen=True)

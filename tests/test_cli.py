@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -14,9 +16,10 @@ import pytest
 
 import levycf
 import levycf.cli
-from levycf import Alphabet, christoffel, parse_word, trace
+from levycf import Alphabet, Mat2, ScaledMat2, SlopeCF, christoffel, parse_word, trace
 from levycf.cli import main
 from levycf.errors import NoConvergenceError
+from levycf.words import standard_sequence
 
 CLI = [sys.executable, "-m", "levycf.cli"]
 HUGE = str(10**400)  # a letter past float range, written out
@@ -356,8 +359,8 @@ class TestEstimate:
         assert math.isfinite(bound) and bound > 0
 
     def test_sturmian_stream_memory(self, capsys):
-        # letters go from the stream to the kernel one chunk at a time, so what
-        # remains at n = 1e6 is the Sturmian stream's own standard-word tuples
+        # logq on a Sturmian source generates no letter: it multiplies one scaled
+        # 2x2 matrix per Ostrowski digit of n - 1, so n = 1e6 holds a few kB
         argv = ["estimate", "--slope", "1,2,1,2,2,3,2,3,2,3,1,1,2,18", "--repeat", "2", "-a", "1", "-b", "2"]
         assert main(argv + ["-n", "10"]) == 0
         capsys.readouterr()
@@ -368,11 +371,35 @@ class TestEstimate:
         finally:
             tracemalloc.stop()
         assert json.loads(capsys.readouterr().out)["results"]["value"] == 0.634341524561811
-        assert peak < 12_000_000
+        assert peak < 1_000_000
 
     def test_conflicting_sources_exit_2(self):
         proc = run_cli("estimate", "--periodic", "1,2", "--slope", "1", "-n", "10", "-a", "1", "-b", "2")
         assert proc.returncode == 2
+
+    def test_sturmian_logq_at_huge_n_matches_deep_convergent(self, capsys):
+        # f at the depth-70 convergent of the golden slope (q_70 = F_72, about 5e14, so 5G/q_70 is
+        # about 1.4e-14), from its Christoffel trace on ScaledMat2: the exact trace has about 4e14 bits
+        argv = ["estimate", "--slope", "1", "--repeat", "1", "-n", str(10**18), "-a", "1", "-b", "2"]
+        assert main(argv) == 0
+        value = json.loads(capsys.readouterr().out)["results"]["value"]
+        m = [ScaledMat2.of(Mat2(x, 1, 1, 0)) for x in (2, 1)]
+        for word in itertools.islice(standard_sequence(itertools.repeat(1), *m, operator.pow, operator.matmul), 71):
+            pass
+        _, q = SlopeCF((), repeat=(1,)).convergent(70)
+        f70 = (word.log_scale + math.log(word.mantissa.trace)) / q
+        assert abs(value - f70) < 1e-12
+
+    @pytest.mark.parametrize("n, huge", [("5", "-a"), ("6", "-b"), ("7", "-b")])
+    def test_sturmian_letter_past_float_range(self, n, huge, capsys):
+        # s_{theta,0} = a a^5 b ...: b is first read at n = 7, and then it fails as on the stream route
+        letters = {"-a": [HUGE, str(10**400 + 1)], "-b": ["1", HUGE]}[huge]
+        argv = ["estimate", "--slope", "5", "--repeat", "1", "-n", n, "-a", letters[0], "-b", letters[1]]
+        fails = n != "6"
+        assert main(argv) == (2 if fails else 0)
+        err = capsys.readouterr().err.splitlines()
+        assert err == (["error: the --slope letters are too large for the float estimators "
+                        "(int too large to convert to float)"] if fails else [])
 
     def test_sturmian_estimate_matches_bounded_slope_value(self):
         # estimate at n=1e5 against the convergent evaluation whose rigorous

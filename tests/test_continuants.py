@@ -9,6 +9,7 @@ from levycf import (
     IDENTITY,
     InvalidWordError,
     Mat2,
+    ScaledMat2,
     TruncatedStreamError,
     as_word,
     cf_matrix,
@@ -20,6 +21,7 @@ from levycf import (
     trace,
 )
 from levycf._kernels import logq_scan
+from levycf.continuants import SCALED_IDENTITY
 from levycf.levy import tail_spread
 from levycf.words import Alphabet
 
@@ -90,6 +92,50 @@ class TestMat2Power:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             cf_matrix((1, 2)) ** -1
+
+
+def scaled_logs(m):
+    # log of each entry of a ScaledMat2, -inf for a zero entry
+    return [m.log_scale + math.log(e) if e else -math.inf for e in m.mantissa]
+
+
+def exact_logs(m):
+    return [log_big(e) if e else -math.inf for e in m]
+
+
+class TestScaledMat2:
+    def test_products_and_powers_match_exact(self):
+        # nonnegative products do not cancel: every entry keeps its relative accuracy,
+        # so the log of each entry agrees with the exact integer's to a few ulps of its size
+        rng = random.Random(12)
+        for _ in range(60):
+            w = random_word(rng, rng.randrange(1, 8), (1, 2, 5, 13))
+            n = rng.randrange(0, 300)
+            scaled, exact = ScaledMat2.of(cf_matrix(w)) ** n, cf_matrix(w) ** n
+            for got, want in zip(scaled_logs(scaled), exact_logs(exact)):
+                assert got == want or abs(got - want) <= 1e-14 * max(1.0, abs(want))
+            folded = SCALED_IDENTITY
+            for x in w * 5:
+                folded = folded @ ScaledMat2.of(cf_matrix((x,)))
+            assert abs(folded.log_e11 - log_big(continuant(w * 5))) <= 1e-14 * max(1.0, log_big(continuant(w * 5)))
+
+    def test_mantissa_is_renormalised(self):
+        m = ScaledMat2.of(cf_matrix((3, 1, 4))) ** 1000
+        assert max(m.mantissa) == 1.0
+        assert math.isfinite(m.log_scale)
+
+    def test_entries_past_float_range(self):
+        # exact ints of any size convert by division, not by float()
+        m = ScaledMat2.of(Mat2(10**400, 1, 1, 0))
+        assert m.mantissa == Mat2(1.0, 0.0, 0.0, 0.0)
+        assert abs(m.log_scale - 400 * math.log(10)) < 1e-12
+        assert abs((m**2).log_e11 - 800 * math.log(10)) < 1e-12
+
+    def test_power_zero_and_negative(self):
+        m = ScaledMat2.of(cf_matrix((1, 2)))
+        assert m**0 == SCALED_IDENTITY
+        with pytest.raises(ValueError, match="ScaledMat2 power must be >= 0"):
+            m ** -1
 
 
 class TestMediantTrace:

@@ -21,10 +21,12 @@ from levycf import (
     QuadPeriod,
     SlopeCF,
     InvertResult,
+    InsufficientDigitsError,
     TargetOutOfRangeError,
     TruncatedStreamError,
     cf_matrix,
     christoffel,
+    continuant,
     f_irrational,
     farey_points,
     fraction_cf,
@@ -39,6 +41,7 @@ from levycf import (
     rn_family,
     slope_point,
     stern_brocot_parents,
+    sturmian_logq,
     sturmian_prefix,
     tail_spread,
     trace,
@@ -47,7 +50,7 @@ from levycf import (
 )
 from levycf import _kernels
 from levycf.levy import _mu_root, levy_from_trace
-from levycf.words import xi_blocks
+from levycf.words import sturmian_letters, xi_blocks
 
 AB = Alphabet(1, 2)
 GOLDEN = SlopeCF((), repeat=(1,))
@@ -356,17 +359,18 @@ class TestFIrrational:
         assert max(evens) < min(odds)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(a=st.integers(1, 10**6), b=st.builds(lambda m, k: m * 10**k, st.integers(2, 10**6), st.integers(0, 194)))
-    def test_tail_spread_against_mpmath(self, a, b):
-        # b spans every decade up to 10^200; past a*b of about 1.3e154 the integer a*b*(a*b + 4)
-        # is past float range and the float fallback runs.  The float formula's relative error is
-        # about b*eps/(b - a), so letters closer than b >= 2a are not held to 1e-12 here.
-        assume(2 * a <= b)
-        with mpmath.workdps(50):
+    @given(a=st.integers(1, 10**6), b=st.builds(lambda m, k: m * 10**k, st.integers(2, 10**6), st.integers(0, 194)),
+           close=st.booleans(), gap=st.integers(1, 1000))
+    def test_tail_spread_against_mpmath(self, a, b, close, gap):
+        # b spans every decade up to 10^200, and close letters are b and b + gap.  The reference
+        # is the difference of the two tails, with 50 digits left after its cancellations.
+        a, b = (b, b + gap) if close else (a, b)
+        assume(a < b)
+        with mpmath.workdps(50 + 2 * len(str(a * b))):
             ab = mpmath.mpf(a * b)
             e = mpmath.sqrt(ab * (ab + 4)) - ab
             ref = (b + e / (2 * a)) - (a + e / (2 * b))
-            assert abs(tail_spread(Alphabet(a, b)) - ref) <= 1e-12 * ref
+            assert abs(tail_spread(Alphabet(a, b)) - ref) <= 2.0**-53 * ref
 
     def test_small_bound_is_reachable(self):
         # bound arithmetic only: 5G/q_k < 1e-6 once q_k is large enough
@@ -620,6 +624,98 @@ class TestLevyEmpirical:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             levy_empirical([1] * 10, 5, method="nonsense")
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(word=st.lists(st.integers(1, 9), min_size=1, max_size=120), n=st.integers(1, 800),
+           depth=st.integers(2, 60))
+    def test_periodic_birkhoff_matches_sweep(self, word, n, depth):
+        # n = k s + r windows sum to k S_s + P_r exactly before the one rounding, so the
+        # closed form is the sweep's value to 0 ulps, for n < s and n >= s alike
+        s = len(word)
+        closed = levy_empirical(itertools.cycle(word), n, method="birkhoff", tail_depth=depth, period=s)
+        sweep = levy_empirical(itertools.cycle(word), n, method="birkhoff", tail_depth=depth)
+        assert closed == sweep
+
+    @pytest.mark.parametrize("n", [300, 700, 701, 1400, 10**6 + 3])
+    def test_periodic_birkhoff_across_chunks(self, monkeypatch, n):
+        # a period longer than CHUNK is swept in several arrays, and r = n mod s cuts one of them
+        monkeypatch.setattr(_kernels, "CHUNK", 256)
+        rng = random.Random(n)
+        word = [rng.choice((1, 2, 3, 7)) for _ in range(700)]
+        closed = levy_empirical(itertools.cycle(word), n, method="birkhoff", period=700)
+        sweep = levy_empirical(itertools.cycle(word), n, method="birkhoff")
+        assert closed == sweep
+
+    def test_periodic_birkhoff_reads_one_period(self):
+        # min(n, s) + tail_depth letters, whatever n is
+        read = []
+        res = levy_empirical((read.append(x) or x for x in itertools.cycle((1, 2))), 10**12,
+                             method="birkhoff", period=2)
+        assert len(read) == 2 + 40
+        assert abs(res.value - levy_quadratic(QuadPeriod((1, 2))).value) < 1e-11
+
+
+def _bound_or_message(route, error):
+    # what a caller sees of one route: its error_bound, or the message of the error it raises
+    try:
+        return route().error_bound
+    except error as exc:
+        return str(exc)
+
+
+class TestSturmianLogq:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(1, 20), gap=st.integers(1, 40), digits=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+           repeat=st.lists(st.integers(1, 5), min_size=1, max_size=3), n=st.integers(1, 20000))
+    def test_matches_stream_and_exact_continuant(self, a, gap, digits, repeat, n):
+        ab, slope = Alphabet(a, a + gap), SlopeCF(tuple(digits), repeat=tuple(repeat))
+        got = sturmian_logq(slope, n, ab)
+        stream = levy_empirical(sturmian_letters(slope, ab), n)
+        exact = log_big(continuant(sturmian_prefix(slope, n, ab))) / n
+        assert abs(got.value - stream.value) <= 2e-15 * stream.value
+        assert abs(got.value - exact) <= 2e-15 * exact
+        assert (got.error_bound, got.method) == (stream.error_bound, stream.method)
+
+    def test_huge_n(self):
+        # q_k grows geometrically, so n = 10^300 needs about 1400 golden digits
+        res = sturmian_logq(GOLDEN, 10**300, AB)
+        ref = f_irrational(GOLDEN, 20, AB)
+        assert abs(res.value - ref.value) <= ref.error_bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(digits=st.lists(st.integers(1, 12), min_size=1, max_size=6), extra=st.integers(0, 1))
+    def test_short_digit_list_boundary(self, digits, extra):
+        # d_1..d_k fix n - 1 = q_k letters of c_theta; one more letter needs d_{k+1}
+        slope = SlopeCF(tuple(digits))
+        n = slope.convergent(len(digits))[1] + 1 + extra
+        routes = (lambda: sturmian_logq(slope, n, AB), lambda: levy_empirical(sturmian_letters(slope, AB), n))
+        outcomes = [_bound_or_message(route, InsufficientDigitsError) for route in routes]
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == f"slope digit d_{len(digits) + 1} unknown (only {len(digits)} given)") == bool(extra)
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 40])
+    @pytest.mark.parametrize("huge", ["a", "b"])
+    def test_letter_past_float_range(self, n, huge):
+        # s_{theta,0} = a a^5 b ...: b is read from n = 7 on, a at once, and both routes fail alike
+        ab = Alphabet(10**400, 10**400 + 1) if huge == "a" else Alphabet(1, 10**400)
+        slope = SlopeCF((5,), repeat=(1,))
+        routes = (lambda: sturmian_logq(slope, n, ab), lambda: levy_empirical(sturmian_letters(slope, ab), n))
+        outcomes = [_bound_or_message(route, OverflowError) for route in routes]
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (huge == "a" or n >= 7)
+
+    def test_asks_only_the_digits_it_needs(self):
+        # the digits asked for are d_1..d_k with q_k >= n - 1, and only those
+        asked = []
+
+        class Counted(SlopeCF):
+            def digit(self, i):
+                asked.append(i)
+                return super().digit(i)
+
+        sturmian_logq(Counted((), repeat=(1,)), 10**18, AB)
+        k = GOLDEN.convergent_exceeding(10**18 - 2)[0]
+        assert max(asked) == k
 
 
 class TestXiOscillation:

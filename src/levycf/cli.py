@@ -147,6 +147,8 @@ def cmd_slope(args, alphabet):
     if (args.fraction is None) == (args.cf is None):
         raise InvalidWordError("give exactly one of a p/q fraction or --cf digits")
     if args.fraction is not None:
+        if args.repeat is not None:
+            raise InvalidWordError("--repeat is a digit tail for --cf; a p/q fraction does not read it")
         try:
             p_str, q_str = args.fraction.split("/")
             p, q = int(p_str), int(q_str)
@@ -234,16 +236,22 @@ def cmd_xi(args, alphabet):
 def cmd_estimate(args, alphabet):
     if args.n < 1:
         raise InvalidWordError("-n must be >= 1")
+    try:
+        float(args.n)  # each estimate divides by n, so it is checked before any letter or digit is read
+    except OverflowError:
+        raise InvalidWordError("-n is past float range, about 1.8e308") from None
+    if args.repeat is not None and args.slope is None:
+        raise InvalidWordError("--repeat is a digit tail for --slope; no other source reads it")
     birkhoff = args.method == "birkhoff"
     period = slope = None
-    if args.word:
+    if args.word is not None:
         try:
             words = load_words(args.word)
         except OSError as exc:
             raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
         letters = itertools.chain.from_iterable(words)
         flag, source = "--word", {"word_file": args.word}
-    elif args.slope:
+    elif args.slope is not None:
         digits = _parse_digits(args.slope)
         repeat = _parse_digits(args.repeat) if args.repeat else ()
         slope = SlopeCF(digits, repeat=repeat)
@@ -253,8 +261,7 @@ def cmd_estimate(args, alphabet):
         word = parse_word(args.periodic)
         if not word:
             raise InvalidWordError("--periodic must be nonempty")
-        letters = itertools.cycle(word)
-        period = len(word)
+        letters, period = word, len(word)
         flag, source = "--periodic", {"periodic": format_word(word)}
     try:
         if slope is not None and not birkhoff:

@@ -5,8 +5,8 @@ continued fraction.  Every word maps to the 2x2 integer matrix product of
 [[a_i, 1], [1, 0]]; its top-left entry is the continuant K (the denominator
 of [0; a_1, ..., a_n]) and its trace T drives the quadratic Levy formula.
 All integer arithmetic here is arbitrary precision; floats only appear in
-the log-space helpers and in ScaledMat2, the log-scaled float product for
-words whose continuants are too long to hold exactly.
+the log-space helpers and in ScaledMat2, the float product scaled by a power
+of two for words whose continuants are too long to hold exactly.
 """
 
 import math
@@ -17,6 +17,9 @@ from .errors import InvalidWordError
 Word = tuple  # tuple of positive ints; see as_word()
 
 _LN2 = math.log(2.0)
+# log 2 = _LN2_HI + _LN2_LO to about 2^-73; _LN2_HI has 17 bits, so k * _LN2_HI is exact for k < 2^36
+_LN2_HI = 0.693145751953125
+_LN2_LO = 1.4286068203094173e-06
 
 
 class Mat2(NamedTuple):
@@ -48,36 +51,44 @@ IDENTITY = Mat2(1, 0, 0, 1)
 
 
 class ScaledMat2(NamedTuple):
-    """Nonnegative 2x2 matrix exp(log_scale) * mantissa, the float mantissa renormalised to max entry 1.
+    """Nonnegative 2x2 matrix 2**exponent * mantissa, the float mantissa's largest entry in [1, 2].
 
     A product of nonnegative matrices does not cancel, so each entry of a
     product of k factors keeps a relative error of about k * eps whatever its
-    size (Higham, Accuracy and Stability of Numerical Algorithms, 3.5), and
-    the log scale carries the magnitude, so nothing overflows.
+    size (Higham, Accuracy and Stability of Numerical Algorithms, 3.5).  The
+    scale is an int power of two, so nothing overflows and renormalising a
+    product rounds nothing, and log_e11 = exponent * log 2 + log(e11) is one
+    correctly rounded sum, with log 2 split in two parts.
     """
 
     mantissa: Mat2
-    log_scale: float
+    exponent: int
 
     @classmethod
     def of(cls, m: Mat2) -> "ScaledMat2":
-        """Scale a nonnegative, nonzero Mat2; int entries of any size convert without overflow."""
+        """Scale a nonnegative, nonzero Mat2; int entries of any size divide correctly rounded, without overflow."""
         top = max(m)
-        return cls(Mat2(m.e11 / top, m.e12 / top, m.e21 / top, m.e22 / top), math.log(top))
+        if isinstance(top, int):
+            e = top.bit_length() - 1
+            d = 1 << e
+            return cls(Mat2(m.e11 / d, m.e12 / d, m.e21 / d, m.e22 / d), e)
+        e = math.frexp(top)[1] - 1
+        d = math.ldexp(1.0, -e)  # a power of two: each product below is exact unless it falls below 2^-1022
+        return cls(Mat2(m.e11 * d, m.e12 * d, m.e21 * d, m.e22 * d), e)
 
     @property
     def log_e11(self) -> float:
-        return self.log_scale + math.log(self.mantissa.e11)
+        return math.fsum((self.exponent * _LN2_HI, self.exponent * _LN2_LO, math.log(self.mantissa.e11)))
 
     def __matmul__(self, other: "ScaledMat2") -> "ScaledMat2":
         p = ScaledMat2.of(self.mantissa @ other.mantissa)
-        return ScaledMat2(p.mantissa, self.log_scale + other.log_scale + p.log_scale)
+        return ScaledMat2(p.mantissa, self.exponent + other.exponent + p.exponent)
 
     def __pow__(self, n: int) -> "ScaledMat2":
         return _power(self, n, SCALED_IDENTITY)
 
 
-SCALED_IDENTITY = ScaledMat2(Mat2(1.0, 0.0, 0.0, 1.0), 0.0)
+SCALED_IDENTITY = ScaledMat2(Mat2(1.0, 0.0, 0.0, 1.0), 0)
 
 
 def _power(m, n: int, identity):

@@ -367,63 +367,60 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     """Empirical Levy estimate over the first letters of a stream.
 
     letters is any iterable, sized or endless; only this function decides how
-    many are read.  "logq" returns (log Q_n)/n from n letters; with period=s,
-    the geometrically converging difference form (log Q_{n+s} - log Q_n)/s:
-    a sized source is read for n + s letters and may have a preperiod, an
-    endless one must be purely s-periodic and is read for s letters only
-    (O(s + DEPTH) memory, O(s * DEPTH) work for any n).  "birkhoff" averages
-    the log of depth-limited continued-fraction tails over n window starts,
-    from n + tail_depth letters.  With period=s it takes the source as purely
-    s-periodic: the window logs repeat with the period, so for n = k s + r
-    their sum is k S_s + P_r, from the first min(n, s) windows and
-    min(n, s) + tail_depth letters (O(s * tail_depth) work for any n).  That
-    sum is exact before its one rounding, so value, extremes and error_bound
-    are bit for bit those of the sweep over all n windows.  All error_bounds
-    here are heuristic.  sturmian_logq gives "logq" on a Sturmian stream
-    without reading its letters.
+    many are read.  "logq" returns (log Q_n)/n from n letters.  "birkhoff"
+    averages the log of depth-limited continued-fraction tails over n window
+    starts, from n + tail_depth letters.  period=s means the source is purely
+    s-periodic, sized or endless: its first s letters are read once and tiled,
+    and n enters only through min and divmod, so the cost is that of one
+    period for any n.  "logq" then returns the geometrically converging
+    difference form (log Q_{n+s} - log Q_n)/s from the s ratios after
+    m = min(n, DEPTH - 1), whose windows cover each residue mod s once, as the
+    windows after n do: the same bits, O(s * DEPTH) work.  "birkhoff" sweeps
+    the first min(n, s) windows; for n = k s + r their logs sum to k S_s + P_r,
+    exact before its one rounding, so value, extremes and error_bound are bit
+    for bit those of the sweep over all n windows (O(s * tail_depth) work).
+    All error_bounds here are heuristic.  sturmian_logq gives "logq" on a
+    Sturmian stream without reading its letters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if period is not None and period < 1:
         raise ValueError("period must be >= 1")
-    if method == "logq":
-        if period is not None:
-            lo, count = max(0, n - _kernels.DEPTH + 1), n + period if hasattr(letters, "__len__") else period
-            for arr, _ in _chunks(letters, count, _kernels.DEPTH - 1 + period):
-                pass
-            # the kernel reads letters lo .. n + period - 1; letter k is arr[(k - count) % len(arr)]
-            arr = arr[(np.arange(lo, n + period) - count) % arr.shape[0]]
-            return LevyResult(_kernels.logq_scan(arr, n - lo) / period, 1e-12, METHOD_LOGQ)
+    if method not in ("logq", "birkhoff"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "birkhoff" and tail_depth < 2:
+        raise ValueError("tail_depth must be >= 2")
+    if period is not None:
+        [(word, _)] = _chunks(letters, period, period)  # keep = period: one array of the whole period
+        if method == "logq":
+            m = min(n, _kernels.DEPTH - 1)
+            return LevyResult(_kernels.logq_scan(np.resize(word, m + period), m) / period, 1e-12, METHOD_LOGQ)
+        windows = min(n, period)
+        tiled = np.resize(word, windows + tail_depth)
+        logs = np.log(_kernels.birkhoff_tails(tiled, windows, tail_depth))
+        k, r = divmod(n, period)
+        # float(sum) / n with both scaled by 2^-j: the same bits, and a sum past float range still divides
+        j = max(0, n.bit_length() - 64)
+        value = float((k * _exact_sum(logs) + _exact_sum(logs[:r])) / 2**j) / (n / 2**j)
+        amin, amax = int(tiled.min()), int(tiled.max())
+    elif method == "logq":
         pieces = [(_kernels.logq_scan(arr, kept), arr.max()) for arr, kept in _chunks(letters, n, _kernels.DEPTH - 1)]
         amax = int(max(top for _, top in pieces))
         return LevyResult(math.fsum(s for s, _ in pieces) / n, _heuristic_bias(amax, n), METHOD_LOGQ)
-    if method == "birkhoff":
-        if tail_depth < 2:
-            raise ValueError("tail_depth must be >= 2")
+    else:
         extremes = []
 
-        def logs(windows):
+        def logs():
             # each window start is swept once, in the first array with its letters and one more
-            for arr, _ in _chunks(letters, windows + tail_depth, tail_depth):
+            for arr, _ in _chunks(letters, n + tail_depth, tail_depth):
                 extremes.extend((arr.min(), arr.max()))
                 tails = _kernels.birkhoff_tails(arr, arr.shape[0] - tail_depth, tail_depth)
                 yield np.log(tails, out=tails)
 
-        if period is None or n <= period:
-            value = math.fsum(itertools.chain.from_iterable(logs(n))) / n
-        else:
-            k, r = divmod(n, period)
-            whole = prefix = Fraction(0)
-            done = 0
-            for chunk in logs(period):
-                whole += _exact_sum(chunk)
-                prefix += _exact_sum(chunk[: max(0, r - done)])
-                done += chunk.shape[0]
-            value = float(k * whole + prefix) / n
+        value = math.fsum(itertools.chain.from_iterable(logs())) / n
         amin, amax = int(min(extremes)), int(max(extremes))
-        truncation = math.ldexp(tail_spread(Alphabet(amin, amax)), 2 - tail_depth) if amax > amin else 0.0
-        return LevyResult(value, truncation + _heuristic_bias(amax, n), METHOD_BIRKHOFF)
-    raise ValueError(f"unknown method {method!r}")
+    truncation = math.ldexp(tail_spread(Alphabet(amin, amax)), 2 - tail_depth) if amax > amin else 0.0
+    return LevyResult(value, truncation + _heuristic_bias(amax, n), METHOD_BIRKHOFF)
 
 
 def sturmian_logq(slope: SlopeCF, n: int, alphabet: Alphabet) -> LevyResult:

@@ -351,6 +351,32 @@ class TestEstimate:
         record = run_json("estimate", "--periodic", "1,2", "-n", "1000000000000000000", "-a", "1", "-b", "2")
         assert record["results"]["value"] == 0.658478948462408
 
+    def test_periodic_logq_past_2_63(self):
+        # n enters the periodic logq only through min(n, DEPTH - 1), so no index holds it
+        record = run_json("estimate", "--periodic", "1,2", "-n", str(2**63), "-a", "1", "-b", "2")
+        assert record["results"]["value"] == 0.658478948462408  # as at -n 9223372036854775000
+
+    @pytest.mark.parametrize("source", [["--slope", "1", "--repeat", "1"], ["--periodic", "1,2", "--method", "birkhoff"]])
+    def test_n_past_float_range_exits_2(self, source, capsys):
+        # every letter is small; -n itself is checked before any letter or digit is read
+        assert main(["estimate", *source, "-n", str(10**400), "-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: -n is past float range, about 1.8e308"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["estimate", "--periodic", "1,2", "--repeat", "3", "-n", "10"],
+         "error: --repeat is a digit tail for --slope; no other source reads it"),
+        (["estimate", "--word", "absent.txt", "--repeat", "1", "-n", "10"],
+         "error: --repeat is a digit tail for --slope; no other source reads it"),
+        (["slope", "1/3", "--repeat", "2"], "error: --repeat is a digit tail for --cf; a p/q fraction does not read it"),
+    ])
+    def test_repeat_that_no_source_reads_exits_2(self, argv, line, capsys):
+        assert main(argv + ["-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [line]
+
     def test_birkhoff_deep_tail_depth(self, capsys):
         # the truncation term 2^(2 - tail_depth) underflows to 0, it does not overflow
         argv = ["estimate", "--periodic", "1,2", "-n", "10", "--method", "birkhoff", "--tail-depth", "2000"]
@@ -373,6 +399,16 @@ class TestEstimate:
         assert json.loads(capsys.readouterr().out)["results"]["value"] == 0.634341524561811
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("source, line", [
+        ("--slope", "error: cannot parse digits '': invalid literal for int() with base 10: ''"),
+        ("--word", "error: cannot read --word file: No such file or directory: "),
+        ("--periodic", "error: --periodic must be nonempty"),
+    ])
+    def test_empty_source_exits_2(self, source, line, capsys):
+        # an empty value still selects its own source, which rejects it in one line
+        assert main(["estimate", source, "", "-n", "10", "-a", "1", "-b", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+
     def test_conflicting_sources_exit_2(self):
         proc = run_cli("estimate", "--periodic", "1,2", "--slope", "1", "-n", "10", "-a", "1", "-b", "2")
         assert proc.returncode == 2
@@ -387,7 +423,7 @@ class TestEstimate:
         for word in itertools.islice(standard_sequence(itertools.repeat(1), *m, operator.pow, operator.matmul), 71):
             pass
         _, q = SlopeCF((), repeat=(1,)).convergent(70)
-        f70 = (word.log_scale + math.log(word.mantissa.trace)) / q
+        f70 = (word.exponent * math.log(2) + math.log(word.mantissa.trace)) / q
         assert abs(value - f70) < 1e-12
 
     @pytest.mark.parametrize("n, huge", [("5", "-a"), ("6", "-b"), ("7", "-b")])

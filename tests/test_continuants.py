@@ -96,7 +96,7 @@ class TestMat2Power:
 
 def scaled_logs(m):
     # log of each entry of a ScaledMat2, -inf for a zero entry
-    return [m.log_scale + math.log(e) if e else -math.inf for e in m.mantissa]
+    return [m.exponent * math.log(2) + math.log(e) if e else -math.inf for e in m.mantissa]
 
 
 def exact_logs(m):
@@ -121,14 +121,20 @@ class TestScaledMat2:
 
     def test_mantissa_is_renormalised(self):
         m = ScaledMat2.of(cf_matrix((3, 1, 4))) ** 1000
-        assert max(m.mantissa) == 1.0
-        assert math.isfinite(m.log_scale)
+        assert 1.0 <= max(m.mantissa) <= 2.0
+        assert isinstance(m.exponent, int)
+
+    def test_renormalising_rounds_nothing(self):
+        # the scale is a power of two, so a float matrix keeps every bit of every entry
+        m = Mat2(3.0e200, 1.0 / 3.0, 7.5, 0.0)
+        scaled = ScaledMat2.of(m)
+        assert [math.ldexp(x, scaled.exponent) for x in scaled.mantissa] == list(m)
 
     def test_entries_past_float_range(self):
         # exact ints of any size convert by division, not by float()
         m = ScaledMat2.of(Mat2(10**400, 1, 1, 0))
-        assert m.mantissa == Mat2(1.0, 0.0, 0.0, 0.0)
-        assert abs(m.log_scale - 400 * math.log(10)) < 1e-12
+        assert m.mantissa == Mat2(10**400 / 2**1328, 0.0, 0.0, 0.0)
+        assert abs(m.exponent * math.log(2) + math.log(m.mantissa.e11) - 400 * math.log(10)) < 1e-12
         assert abs((m**2).log_e11 - 800 * math.log(10)) < 1e-12
 
     def test_power_zero_and_negative(self):

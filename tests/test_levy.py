@@ -529,14 +529,29 @@ class TestLevyEmpirical:
         assert res.value == _kernels.logq_scan(full, 10**6) / 2
         assert peak < 1_000_000  # the full array alone takes 8 MB
 
-    def test_periodic_difference_form_sized_source(self):
-        # a sized source is read for its first n + period letters, so a
-        # preperiod is allowed and a source shorter than that is an error
-        pure = levy_empirical(itertools.cycle((1, 2)), 1000, method="logq", period=2)
-        pre = levy_empirical((5, 7, 3) + (1, 2) * 600, 1000, method="logq", period=2)
-        assert pre.value == pure.value
-        with pytest.raises(TruncatedStreamError):
-            levy_empirical((1, 2) * 500, 1000, method="logq", period=2)
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(word=st.lists(st.integers(1, 9), min_size=1, max_size=120), n=st.integers(1, 5000),
+           depth=st.integers(2, 60))
+    def test_period_against_explicit_letters(self, word, n, depth):
+        # a sized source of exactly one period, tiled, against the letters written out
+        s = len(word)
+        letters = list(itertools.islice(itertools.cycle(word), n + max(s, depth)))
+        logq = levy_empirical(tuple(word), n, period=s)
+        assert logq.value == _kernels.logq_scan(np.array(letters[: n + s], dtype=float), n) / s
+        birk = levy_empirical(tuple(word), n, method="birkhoff", tail_depth=depth, period=s)
+        assert birk == levy_empirical(letters, n, method="birkhoff", tail_depth=depth)
+
+    def test_periodic_logq_past_2_63(self):
+        # n enters only through min(n, DEPTH - 1): every n from there on gives the same bits
+        word = (1, 2, 2, 5, 1)
+        ref = levy_empirical(word, _kernels.DEPTH - 1, period=5)
+        for n in (10**6, 2**63, 2**64 + 1):
+            assert levy_empirical(itertools.cycle(word), n, period=5) == ref
+
+    def test_periodic_birkhoff_sum_past_float_range(self):
+        # k S_s passes 1.8e308 at n = 2^1023 with letters 9; the mean does not
+        near = levy_empirical((9, 9), 10**6, method="birkhoff", period=2).value
+        assert abs(levy_empirical((9, 9), 2**1023, method="birkhoff", period=2).value - near) <= 2 * math.ulp(near)
 
     def test_stream_read_in_pieces(self):
         # an unsized stream crosses several kernel chunks; the array equals the sized read
@@ -647,11 +662,11 @@ class TestLevyEmpirical:
         assert closed == sweep
 
     def test_periodic_birkhoff_reads_one_period(self):
-        # min(n, s) + tail_depth letters, whatever n is
+        # s letters, tiled to min(n, s) + tail_depth, whatever n is
         read = []
         res = levy_empirical((read.append(x) or x for x in itertools.cycle((1, 2))), 10**12,
                              method="birkhoff", period=2)
-        assert len(read) == 2 + 40
+        assert len(read) == 2
         assert abs(res.value - levy_quadratic(QuadPeriod((1, 2))).value) < 1e-11
 
 
@@ -671,9 +686,11 @@ class TestSturmianLogq:
         ab, slope = Alphabet(a, a + gap), SlopeCF(tuple(digits), repeat=tuple(repeat))
         got = sturmian_logq(slope, n, ab)
         stream = levy_empirical(sturmian_letters(slope, ab), n)
-        exact = log_big(continuant(sturmian_prefix(slope, n, ab))) / n
+        with mpmath.workprec(120):
+            exact = float(mpmath.log(continuant(sturmian_prefix(slope, n, ab))) / n)
         assert abs(got.value - stream.value) <= 2e-15 * stream.value
-        assert abs(got.value - exact) <= 2e-15 * exact
+        # the power-of-two scale leaves one rounding at the size of log Q_n, and the mpmath value one more
+        assert abs(got.value - exact) <= 2 * math.ulp(exact)
         assert (got.error_bound, got.method) == (stream.error_bound, stream.method)
 
     def test_huge_n(self):

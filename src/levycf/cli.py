@@ -94,7 +94,7 @@ def build_parser():
     slope.add_argument("fraction", nargs="?", help="rational slope p/q in [0, 1]")
     slope.add_argument("--cf", help="slope digits d1,d2,... (theta = [0; 1+d1, d2, ...])")
     slope.add_argument("--repeat", help="periodic digit tail appended after --cf digits")
-    slope.add_argument("--depth", type=int, default=20, help="convergent index k for --cf slopes")
+    slope.add_argument("--depth", type=int, help="convergent index k for --cf slopes (default 20)")
 
     curve = sub.add_parser("curve", help="sample f over all reduced fractions with q <= qmax", parents=[common])
     curve.add_argument("--qmax", type=int, required=True)
@@ -149,6 +149,8 @@ def cmd_slope(args, alphabet):
     if args.fraction is not None:
         if args.repeat is not None:
             raise InvalidWordError("--repeat is a digit tail for --cf; a p/q fraction does not read it")
+        if args.depth is not None:
+            raise InvalidWordError("--depth is a convergent index for --cf; a p/q fraction does not read it")
         try:
             p_str, q_str = args.fraction.split("/")
             p, q = int(p_str), int(q_str)
@@ -171,11 +173,12 @@ def cmd_slope(args, alphabet):
     digits = _parse_digits(args.cf)
     repeat = _parse_digits(args.repeat) if args.repeat else ()
     slope = SlopeCF(digits, repeat=repeat)
-    if args.depth < 1:
+    depth = 20 if args.depth is None else args.depth
+    if depth < 1:
         raise InvalidWordError("--depth must be >= 1")
-    p_k, q_k = slope.convergent(args.depth)
+    p_k, q_k = slope.convergent(depth)
     res = f_convergent(p_k, q_k, alphabet)
-    return {"cf": list(digits), "repeat": list(repeat), "depth": args.depth}, {
+    return {"cf": list(digits), "repeat": list(repeat), "depth": depth}, {
         "p_k": p_k,
         "q_k": q_k,
         "f": _f15(res.value),
@@ -201,6 +204,9 @@ def cmd_curve(args, alphabet):
 def cmd_invert(args, alphabet):
     if not 0 < args.tol < math.inf:
         raise InvalidWordError(f"--tol must be positive and finite, got {args.tol}")
+    spacing = math.ulp(args.target)
+    if args.tol <= spacing < math.inf:
+        raise InvalidWordError(f"--tol must exceed the float spacing at the target, {spacing!r}, got {args.tol}")
     res = invert_f(args.target, alphabet, args.tol)
     return {"target": _f15(args.target), "tol": _f15(args.tol)}, {
         "lower": str(res.lower),

@@ -23,7 +23,10 @@ _LN2_LO = 1.4286068203094173e-06
 
 
 class Mat2(NamedTuple):
-    """2x2 non-negative matrix, entries row-major: ints, but floats in xi_oscillation and ScaledMat2."""
+    """2x2 matrix, entries row-major: ints, but floats in xi_oscillation and ScaledMat2.
+
+    Entries are non-negative except in the run matrix [[t, -1], [1, 0]] of levy.invert_f.
+    """
 
     e11: int
     e12: int

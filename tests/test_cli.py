@@ -28,8 +28,8 @@ SRC = os.path.dirname(os.path.dirname(levycf.__file__))
 CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV, timeout=timeout)
 
 
 def run_json(*args):
@@ -135,6 +135,17 @@ class TestSlope:
         proc = run_cli("slope", "--cf", "1,1", "--depth", "15", "-a", "1", "-b", "2")
         assert proc.returncode == 4
 
+    def test_depth_on_a_fraction_exits_2(self, capsys):
+        assert main(["slope", "1/3", "--depth", "5", "-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: --depth is a convergent index for --cf; a p/q fraction does not read it"]
+        # without --depth, --cf still reads the 20th convergent and echoes it
+        assert main(["slope", "--cf", "1", "--repeat", "1", "-a", "1", "-b", "2"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["params"]["depth"] == 20
+        assert record["results"]["q_k"] == 17711
+
     def test_x_past_float_range_names_the_slope(self, capsys):
         # f(1) = L(b) is about 921, so x = exp(f) - exp(-f) is past float range; at 1/2 it is not
         assert main(["slope", "1/1", "-a", "1", "-b", HUGE]) == 2
@@ -214,6 +225,23 @@ class TestInvert:
             assert proc.returncode == 2
             assert proc.stderr.startswith("error: --tol must be positive and finite")
             assert len(proc.stderr.splitlines()) == 1
+
+    def test_tol_at_float_spacing_exits_2(self, capsys):
+        # only f_lower == f_upper could meet such a tol
+        for tol in ("1e-17", repr(math.ulp(0.7))):
+            assert main(["invert", "0.7", "-a", "1", "-b", "2", "--tol", tol]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.splitlines() == [f"error: --tol must exceed the float spacing at the target, {math.ulp(0.7)!r}, got {tol}"]
+
+    def test_long_endpoint_runs_in_a_child(self):
+        # a same-side run of about 370,000 nodes toward 0/1, and one that reaches the step cap
+        proc = run_cli("invert", "0.481212825059603", "-a", "1", "-b", "2", "--tol", "1e-9", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["steps"] == 369640
+        proc = run_cli("invert", "0.481211825069603", "-a", "1", "-b", "2", timeout=20)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: no enclosure of width 1e-08 within 1000000 steps"]
 
     def test_no_convergence_exits_1(self, monkeypatch, capsys):
         def capped(*args):

@@ -48,6 +48,7 @@ from levycf import (
     trace_poly,
     xi_oscillation,
 )
+import levycf.levy
 from levycf import _kernels
 from levycf.levy import _mu_root, levy_from_trace
 from levycf.words import sturmian_letters, xi_blocks
@@ -433,6 +434,30 @@ class TestInvertF:
             f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
             cases += [(f0, 1e-9, ab, 10**6), (f1, 1e-9, ab, 10**6)]
             cases += [(f0 + (f1 - f0) * rng.random(), 1e-10, ab, rng.randrange(1, 20)) for _ in range(3)]
+        # long same-side runs, which invert_f jumps over: targets 1e-5 to 1e-4 inside f0 and f1, and
+        # on both sides of f(p/q) for q <= 12, with uncapped and random caps
+        for _ in range(16):
+            ab = rng.choice(alphabets[:3])
+            f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
+            eps = 10 ** rng.uniform(-5, -4)
+            target = f0 + eps if rng.random() < 0.5 else f1 - eps
+            cases.append((target, 10 ** rng.uniform(-10, -8), ab, rng.choice([10**6, rng.randrange(1, 40000)])))
+        for _ in range(24):
+            ab = rng.choice(alphabets[:3])
+            q = rng.randrange(2, 13)
+            p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+            target = slope_point(Fraction(p, q), ab).f_value + rng.choice([-1, 1]) * 10 ** rng.uniform(-5, -4)
+            cases.append((target, 10 ** rng.uniform(-10, -8), ab, rng.choice([10**6, rng.randrange(1, 5000)])))
+        # a run toward an endpoint, 1/m or (m - 1)/m for m = 2..n, that the width ends at node n: the
+        # jump lands on node n - 1 (step n - 2), and the caps end one node before it, at it and after it
+        for ab, n, low in ((Alphabet(1, 2), 3000, True), (Alphabet(2, 5), 2000, False)):
+            slope = (lambda m: Fraction(1, m)) if low else (lambda m: Fraction(m - 1, m))
+            f_end = letter_levy(ab.a if low else ab.b)
+            w_n, w_prev = (abs(slope_point(slope(m), ab).f_value - f_end) for m in (n, n - 1))
+            target, tol = f_end + (w_n / 2 if low else -w_n / 2), (w_n + w_prev) / 2
+            res = invert_f(target, ab, tol)
+            assert res.steps == n - 1 and slope(n) in (res.lower, res.upper)
+            cases += [(target, tol, ab, cap) for cap in (n - 3, n - 2, n - 1, n)]
         outcomes = []
         for target, tol, ab, cap in cases:
             want = _outcome(_invert_mat2, target, ab, tol, cap)
@@ -489,6 +514,30 @@ class TestInvertF:
         for tol in (0.0, -1e-8, math.nan, math.inf):
             with pytest.raises(ValueError):
                 invert_f(0.6, AB, tol)
+
+    def test_tol_at_float_spacing(self):
+        # only f_lower == f_upper could meet such a tol, so it is refused before the descent starts
+        for target in (0.7, letter_levy(1), letter_levy(2)):
+            for tol in (1e-17, math.ulp(target)):
+                with pytest.raises(ValueError, match="float spacing"):
+                    invert_f(target, AB, tol)
+        with pytest.raises(NoConvergenceError):  # twice the spacing is accepted, and runs
+            invert_f(0.7, AB, 2 * math.ulp(0.7), max_steps=20)
+        with pytest.raises(TargetOutOfRangeError):
+            invert_f(math.inf, AB, 1e-8)
+
+    def test_long_run_takes_few_evaluations(self, monkeypatch):
+        # f0 + 1e-6: a run of about 370,000 nodes toward 0/1, jumped over in O(log run) evaluations
+        calls = []
+
+        def counted(t, s):
+            calls.append(s)
+            return levy_from_trace(t, s)
+
+        monkeypatch.setattr(levycf.levy, "levy_from_trace", counted)
+        res = invert_f(0.481212825059603, AB, 1e-9)
+        assert res.steps == 369640 and not res.exact
+        assert len(calls) < 200
 
 
 class TestFareyPoints:

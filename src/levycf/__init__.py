@@ -33,7 +33,9 @@ from .levy import (
     QuadPeriod,
     SlopePoint,
     XiOscillation,
+    curve_qmax,
     f_irrational,
+    farey_count,
     farey_points,
     invert_f,
     letter_levy,

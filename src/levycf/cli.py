@@ -33,7 +33,9 @@ from .levy import (
     METHOD_RATIONAL,
     XI_MMAX,
     QuadPeriod,
+    curve_qmax,
     f_convergent,
+    farey_count,
     farey_points,
     invert_f,
     letter_levy,
@@ -189,16 +191,28 @@ def cmd_slope(args, alphabet):
 
 
 def cmd_curve(args, alphabet):
-    if args.qmax < 1:
-        raise InvalidWordError("--qmax must be >= 1")
-    rows = [
-        {"p": sp.fraction.numerator, "q": sp.fraction.denominator, "f": _f15(sp.f_value), "x": _f15(sp.x_value)}
-        for sp in farey_points(args.qmax, alphabet)
-    ]
-    for prev, cur in zip(rows, rows[1:]):
-        if not prev["f"] < cur["f"]:
-            raise AssertionError(f"f not strictly increasing at {cur['p']}/{cur['q']}")
-    return {"qmax": args.qmax}, {"count": len(rows), "rows": rows}
+    limit = curve_qmax(alphabet)
+    if not 1 <= args.qmax <= limit:
+        raise InvalidWordError(f"--qmax must be in 1..{limit}, got {args.qmax}")
+    points = farey_points(args.qmax, alphabet)  # both ends are checked here, before any row is written
+    count = farey_count(args.qmax)
+    return {"qmax": args.qmax}, {"count": count, "rows": _curve_rows(points, count)}
+
+
+def _curve_rows(points, count):
+    """The (p, q, f, x) rows with f and x rounded by _f15, checked as they stream past the writer.
+
+    A broken check raises after the rows before it were written.
+    """
+    prev, n = -math.inf, 0
+    for p, q, f, x in points:
+        f = _f15(f)
+        if not prev < f:
+            raise AssertionError(f"f not strictly increasing at {p}/{q}")
+        prev, n = f, n + 1
+        yield p, q, f, _f15(x)
+    if n != count:
+        raise AssertionError(f"{n} rows, expected the Farey count {count}")
 
 
 def cmd_invert(args, alphabet):
@@ -301,8 +315,8 @@ def _emit_csv(record, out):
     command = record["command"]
     if command == "curve":
         out.write("p,q,slope,f,x\n")
-        for row in record["results"]["rows"]:
-            out.write(f"{row['p']},{row['q']},{row['p']}/{row['q']},{row['f']:.15g},{row['x']:.15g}\n")
+        for p, q, f, x in record["results"]["rows"]:
+            out.write(f"{p},{q},{p}/{q},{f:.15g},{x:.15g}\n")
         return
     if command == "xi":
         out.write("m,u\n")
@@ -316,6 +330,32 @@ def _emit_csv(record, out):
         for key, value in record[section].items():
             out.write(f"{section}.{key},{value}\n")
     out.write(f"wall_time_s,{record['wall_time_s']}\n")
+
+
+# One curve row as json.dumps(record, indent=2) writes it inside results.rows, without the comma before it.
+# %d and %r give the int and float reprs that json.dumps writes; f and x are finite.
+_JSON_ROW = '\n      {\n        "p": %d,\n        "q": %d,\n        "f": %r,\n        "x": %r\n      }'
+
+
+def _emit_json(record, out, start):
+    """Write the record as print(json.dumps(record, indent=2)) does, with wall_time_s counted from start.
+
+    curve's rows are lazy: json.dumps writes the envelope around an empty row
+    list, and the rows stream into it one _JSON_ROW each, so no row list is
+    built.  Its wall_time_s is taken after the last row, so it covers the walk.
+    """
+    results = record["results"]
+    if record["command"] != "curve":
+        out.write(json.dumps({**record, "wall_time_s": time.perf_counter() - start}, indent=2) + "\n")
+        return
+    envelope = json.dumps({**record, "results": {**results, "rows": []}, "wall_time_s": None}, indent=2)
+    head, tail = envelope.rsplit("[]", 1)  # tail closes results and holds "wall_time_s": null
+    out.write(head + "[")
+    sep = ""
+    for row in results["rows"]:
+        out.write(sep + _JSON_ROW % row)
+        sep = ","
+    out.write("\n    ]" + tail.replace("null", json.dumps(time.perf_counter() - start)) + "\n")
 
 
 @contextlib.contextmanager
@@ -362,16 +402,17 @@ def main(argv=None):
         "alphabet": {"a": alphabet.a, "b": alphabet.b},
         "params": params,
         "results": results,
-        "wall_time_s": time.perf_counter() - start,
     }
     try:
         with _int_digits_unlimited():
-            if args.format == "csv":
-                buf = io.StringIO()
-                _emit_csv(record, buf)
-                sys.stdout.write(buf.getvalue())
+            if args.format == "json":
+                _emit_json(record, sys.stdout, start)
+            elif args.command == "curve":  # its rows stream from the walk
+                _emit_csv(record, sys.stdout)
             else:
-                print(json.dumps(record, indent=2))
+                buf = io.StringIO()
+                _emit_csv({**record, "wall_time_s": time.perf_counter() - start}, buf)
+                sys.stdout.write(buf.getvalue())
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early (`levy ... | head`).  Point stdout

@@ -50,6 +50,13 @@ METHOD_IRRATIONAL = "irrational-slope-bounded"
 METHOD_LOGQ = "empirical-logq"
 METHOD_BIRKHOFF = "empirical-birkhoff"
 XI_MMAX = 1000  # past m = 1023 the block length 2^m overflows a float
+# The bounds on curve's qmax, so that no few-byte --qmax exhausts memory before the first row.  The
+# farey_count sieve holds qmax + 1 ints (0.4 MB at 10^4, which is already about 3e7 rows).  The walk's
+# stack holds the traces of one root-to-node path, whose denominators increase, so at most about
+# qmax^2/2 * log2(b + 1) bits: curve_qmax lowers the bound for large letters to keep that under
+# CURVE_STACK_BITS (32 MB).  At qmax 2000 with a = 10^300, b = a + 1 the walk peaked at 533 MB of RSS.
+CURVE_QMAX = 10**4
+CURVE_STACK_BITS = 2**28
 
 
 @dataclass(frozen=True)
@@ -181,15 +188,19 @@ def mu_mean(w: Word) -> float:
     return QuadPeriod(w).mu
 
 
-def _point(pq: Fraction, t: int) -> SlopePoint:
+def _f_x(p: int, q: int, t: int) -> tuple:
     # x is recovered as exp(f) - exp(-f) rather than by solving T_q(x) = T,
     # which would be ill-conditioned for large q.
-    f = levy_from_trace(t, pq.denominator)
+    f = levy_from_trace(t, q)
     try:
         x = math.exp(f) - math.exp(-f)
     except OverflowError:
-        raise OverflowError(f"x at slope {pq.numerator}/{pq.denominator} is past float range (f = {f!r})") from None
-    return SlopePoint(pq, f, x, t)
+        raise OverflowError(f"x at slope {p}/{q} is past float range (f = {f!r})") from None
+    return f, x
+
+
+def _point(pq: Fraction, t: int) -> SlopePoint:
+    return SlopePoint(pq, *_f_x(pq.numerator, pq.denominator, t), t)
 
 
 def slope_point(pq: Fraction, alphabet: Alphabet) -> SlopePoint:
@@ -202,18 +213,43 @@ def slope_point(pq: Fraction, alphabet: Alphabet) -> SlopePoint:
     return _point(pq, christoffel_trace(pq, alphabet))
 
 
-def farey_points(qmax: int, alphabet: Alphabet) -> list:
-    """Slope points at every reduced p/q in [0, 1] with q <= qmax, in increasing order.
+def farey_count(qmax: int) -> int:
+    """The number of reduced p/q in [0, 1] with q <= qmax: 1 + the sum of Euler's phi, from a sieve."""
+    phi = list(range(qmax + 1))
+    for i in range(2, qmax + 1):
+        if phi[i] == i:  # i is prime
+            for j in range(i, qmax + 1, i):
+                phi[j] -= phi[j] // i
+    return 1 + sum(phi[1:])
 
-    An in-order walk of the Stern-Brocot tree cut at q <= qmax.  Each bracket
-    carries the traces of its two ends and of their difference node, so each
-    node's trace costs one multiply (continuants.mediant_trace).  The stack is
-    explicit because the path 1/2, 1/3, ... is qmax nodes deep.
+
+def curve_qmax(alphabet: Alphabet) -> int:
+    """The largest qmax that farey_points takes: CURVE_QMAX, or less where the stack would pass CURVE_STACK_BITS."""
+    return min(CURVE_QMAX, math.isqrt(2 * CURVE_STACK_BITS // alphabet.b.bit_length()))
+
+
+def farey_points(qmax: int, alphabet: Alphabet):
+    """(p, q, f, x) at every reduced p/q in [0, 1] with q <= qmax, in increasing order, as a generator.
+
+    qmax and both endpoint rows are checked here, before the first row is
+    read: x increases with f, which increases with the slope, so when x fits
+    a float at 0/1 and 1/1 it fits at every row.  The rows in between come
+    from an in-order walk of the Stern-Brocot tree cut at q <= qmax.  Each
+    bracket carries the traces of its two ends and of their difference node,
+    so each node's trace costs one multiply (continuants.mediant_trace).  The
+    stack is explicit because the path 1/2, 1/3, ... is qmax nodes deep; it
+    is all the walk keeps, so memory is O(qmax) traces however many rows are read.
     """
-    if qmax < 1:
-        raise ValueError("qmax must be >= 1")
+    limit = curve_qmax(alphabet)
+    if not 1 <= qmax <= limit:
+        raise ValueError(f"qmax must be in 1..{limit}, got {qmax}")
     a, b = alphabet.a, alphabet.b
-    points = [_point(Fraction(0), a)]
+    first, last = (0, 1, *_f_x(0, 1, a)), (1, 1, *_f_x(1, 1, b))
+    return _farey_walk(qmax, a, b, first, last)
+
+
+def _farey_walk(qmax, a, b, first, last):
+    yield first
     stack = []
     # bracket: (p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff)
     node = (0, 1, a, 1, 1, b, 2)
@@ -227,10 +263,9 @@ def farey_points(qmax: int, alphabet: Alphabet) -> list:
         if not stack:
             break
         (p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, _), p, q, t = stack.pop()
-        points.append(_point(Fraction(p, q), t))
+        yield (p, q, *_f_x(p, q, t))
         node = (p, q, t, p_hi, q_hi, t_hi, t_lo)
-    points.append(_point(Fraction(1), b))
-    return points
+    yield last
 
 
 _SPREAD_CONTEXT = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
@@ -310,6 +345,13 @@ _GALLOP_END_BITS = 64
 _GALLOP_MARGIN = 2.0**-44
 
 
+# The largest trace invert_f may multiply toward, in bits, so that a --tol a few ulps wide ends instead of
+# running for minutes: each step past the budget costs seconds, and the next ones grow like Fibonacci
+# numbers in bits.  `invert 0.7 -a 1 -b 2 --tol 1e-14` peaks at 1.39e7 bits in 73 steps, 4-7 s on a 2-core
+# VM, and still ends inside the budget; the benchmark's exact requests stay far below it.
+INVERT_TRACE_BITS = 2**24
+
+
 def _run_jump(t_end, q_end, t, t_diff, q, cap, passes):
     """The farthest node d <= cap of a same-side run whose f passes, by exponential then binary search.
 
@@ -317,6 +359,8 @@ def _run_jump(t_end, q_end, t, t_diff, q, cap, passes):
     fixed end (trace t_end, denominator q_end < q) and N_{-1} = N_0 - F the bracket's difference node
     (trace t_diff).  By mediant_trace with q_small = q_end, (T_d, T_{d-1}) = R^d (T_0, T_{-1}) with
     R = [[t_end, sigma], [1, 0]], sigma = (-1)^(q_end + 1); R^(2^i) comes from repeated squaring.
+    A node also passes only if the loop could have computed the node after it within INVERT_TRACE_BITS,
+    and no multiply past that budget is made: a jump never lands beyond where the loop would stop.
     Returns (d, T_d, T_{d-1}, f(N_d)) for a d that passes, or (0, t, t_diff, None) when node 1 fails.
     """
     sigma = 1 if q_end % 2 else -1
@@ -326,16 +370,23 @@ def _run_jump(t_end, q_end, t, t_diff, q, cap, passes):
     def probe(i):
         nonlocal done, x, y, f_done
         r = powers[i]
+        if r.e11.bit_length() + x.bit_length() > INVERT_TRACE_BITS:
+            return False
         d, x_d = done + (1 << i), r.e11 * x + r.e12 * y
         f_d = levy_from_trace(x_d, q + d * q_end)
         if not passes(f_d):
             return False
-        done, x, y, f_done = d, x_d, r.e21 * x + r.e22 * y, f_d
+        y_d = r.e21 * x + r.e22 * y
+        if t_end.bit_length() + y_d.bit_length() > INVERT_TRACE_BITS:  # the loop's budget check at node d
+            return False
+        done, x, y, f_done = d, x_d, y_d, f_d
         return True
 
     i = 0
     while done + (1 << i) <= cap:
         if i == len(powers):
+            if 2 * powers[-1].e11.bit_length() > INVERT_TRACE_BITS:
+                break
             powers.append(powers[-1] @ powers[-1])
         if not probe(i):
             break
@@ -356,6 +407,9 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     when f(upper) - f(lower) < tol; that width also dominates the convergent
     error bound of the limit slope.  tol must exceed the float spacing at the
     target, since below it only f(lower) == f(upper) could end the descent.
+    Like max_steps, INVERT_TRACE_BITS caps the descent: when the two ends'
+    traces together pass it, the next multiply is not made and
+    NoConvergenceError is raised.
 
     Near an endpoint, or near the f of a small rational, the descent is one
     long run of moves on one side while the other end F stays fixed.  After
@@ -389,6 +443,10 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     while f_hi - f_lo >= tol:
         if steps >= max_steps:
             raise NoConvergenceError(f"no enclosure of width {tol} within {max_steps} steps")
+        if t_lo.bit_length() + t_hi.bit_length() > INVERT_TRACE_BITS:
+            raise NoConvergenceError(
+                f"no enclosure of width {tol} within the trace budget of {INVERT_TRACE_BITS} bits ({steps} steps)"
+            )
         p, q = p_lo + p_hi, q_lo + q_hi
         t = mediant_trace(t_lo, t_hi, t_diff, min(q_lo, q_hi))
         f_med = levy_from_trace(t, q)

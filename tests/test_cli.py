@@ -16,7 +16,7 @@ import pytest
 
 import levycf
 import levycf.cli
-from levycf import Alphabet, Mat2, ScaledMat2, SlopeCF, christoffel, parse_word, trace
+from levycf import Alphabet, Mat2, ScaledMat2, SlopeCF, christoffel, parse_word, slope_point, trace
 from levycf.cli import main
 from levycf.errors import NoConvergenceError
 from levycf.words import standard_sequence
@@ -157,7 +157,72 @@ class TestSlope:
         assert (results["f"], results["x"]) == (460.517018598809, 9.99999999999965e199)
 
 
+def _listed_curve(points, qmax, alphabet, fmt, wall_time_s):
+    """curve's stdout as it was written from a list of rows: dicts through json.dumps(indent=2), or CSV f-strings.
+
+    points maps each fraction to its slope_point; those with q <= qmax are the rows.
+    """
+    f15 = lambda v: float(f"{v:.15g}")
+    rows = [{"p": fr.numerator, "q": fr.denominator, "f": f15(sp.f_value), "x": f15(sp.x_value)}
+            for fr, sp in sorted(points.items()) if fr.denominator <= qmax]
+    if fmt == "csv":
+        return "p,q,slope,f,x\n" + "".join(
+            f"{row['p']},{row['q']},{row['p']}/{row['q']},{row['f']:.15g},{row['x']:.15g}\n" for row in rows
+        )
+    record = {
+        "command": "curve",
+        "alphabet": {"a": alphabet.a, "b": alphabet.b},
+        "params": {"qmax": qmax},
+        "results": {"count": len(rows), "rows": rows},
+        "wall_time_s": wall_time_s,
+    }
+    return json.dumps(record, indent=2) + "\n"
+
+
 class TestCurve:
+    def test_bytes_match_the_listed_rows(self, capsys):
+        for ab in (Alphabet(1, 2), Alphabet(2, 5), Alphabet(3, 4)):
+            fracs = {Fraction(p, q) for q in range(1, 61) for p in range(q + 1)}
+            points = {fr: slope_point(fr, ab) for fr in fracs}
+            for qmax in range(1, 61):
+                for fmt in ("json", "csv"):
+                    assert main(["curve", "--qmax", str(qmax), "-a", str(ab.a), "-b", str(ab.b), "--format", fmt]) == 0
+                    out = capsys.readouterr().out
+                    wall = json.loads(out)["wall_time_s"] if fmt == "json" else None
+                    assert out == _listed_curve(points, qmax, ab, fmt, wall), (ab, qmax, fmt)
+
+    def test_qmax_1000_streams_in_little_memory(self):
+        # peak RSS of the child, which held every row (253 MB as CSV, 437 MB as JSON) before rows streamed
+        probe = (
+            "import resource, subprocess, sys; subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True);"
+            " print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        argv = CLI + ["curve", "--qmax", "1000", "-a", "1", "-b", "2", "--format", "csv"]
+        proc = subprocess.run([sys.executable, "-c", probe] + argv, capture_output=True, text=True, env=CLI_ENV, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 60 * 1024  # kB
+
+    def test_qmax_above_bound_exits_2(self, capsys):
+        for qmax in ("10001", str(10**12)):
+            assert main(["curve", "--qmax", qmax, "-a", "1", "-b", "2"]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.splitlines() == [f"error: --qmax must be in 1..10000, got {qmax}"]
+        # letters this large hold the walk's stack of traces to 733
+        assert main(["curve", "--qmax", "734", "-a", "1", "-b", str(10**300)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: --qmax must be in 1..733, got 734"]
+
+    def test_broken_invariant_raises_after_partial_output(self, monkeypatch, capsys):
+        rows = [(0, 1, 0.5, 1.0), (1, 2, 0.7, 2.0), (1, 1, 0.6, 3.0)]
+        for walk, message in ((rows, "f not strictly increasing at 1/1"), (rows[:2], "2 rows, expected the Farey count 3")):
+            monkeypatch.setattr(levycf.cli, "farey_points", lambda qmax, alphabet: iter(walk))
+            for fmt, written in (("json", '"q": 2'), ("csv", "\n1,2,1/2,0.7,2\n")):
+                with pytest.raises(AssertionError, match=message):
+                    main(["curve", "--qmax", "2", "-a", "1", "-b", "2", "--format", fmt])
+                assert written in capsys.readouterr().out
+
     def test_x_past_float_range_names_the_slope(self, capsys):
         assert main(["curve", "--qmax", "2", "-a", "1", "-b", HUGE]) == 2
         out = capsys.readouterr()
@@ -242,6 +307,14 @@ class TestInvert:
         proc = run_cli("invert", "0.481211825069603", "-a", "1", "-b", "2", timeout=20)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: no enclosure of width 1e-08 within 1000000 steps"]
+
+    def test_trace_budget_exits_1(self):
+        # a --tol a few ulps wide, which ran for minutes: the descent stops before its traces pass the budget
+        proc = run_cli("invert", "0.7", "-a", "1", "-b", "2", "--tol", "3e-16", timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: no enclosure of width 3e-16 within the trace budget of 16777216 bits (73 steps)"
+        ]
 
     def test_no_convergence_exits_1(self, monkeypatch, capsys):
         def capped(*args):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from levycf import (
     cf_matrix,
     christoffel,
     continuant,
+    curve_qmax,
     f_irrational,
+    farey_count,
     farey_points,
     fraction_cf,
     invert_f,
@@ -380,8 +383,11 @@ class TestFIrrational:
         assert 5 * g / q < 1e-6
 
 
-def _invert_mat2(target, alphabet, tol, max_steps=10**6):
-    """Reference descent: each mediant's matrix is the full product of its parents' matrices."""
+def _invert_mat2(target, alphabet, tol, max_steps=10**6, trace_bits=math.inf):
+    """Reference descent: each mediant's matrix is the full product of its parents' matrices.
+
+    It stops like invert_f's trace budget when the two ends' traces together pass trace_bits.
+    """
     f0, f1 = letter_levy(alphabet.a), letter_levy(alphabet.b)
     if not f0 <= target <= f1:
         raise TargetOutOfRangeError(target, f0, f1)
@@ -395,6 +401,8 @@ def _invert_mat2(target, alphabet, tol, max_steps=10**6):
     while f_hi - f_lo >= tol:
         if steps >= max_steps:
             raise NoConvergenceError("cap")
+        if m_lo.trace.bit_length() + m_hi.trace.bit_length() > trace_bits:
+            raise NoConvergenceError(f"budget ({steps} steps)")
         med = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
         m_med = m_lo @ m_hi
         f_med = levy_from_trace(m_med.trace, med.denominator)
@@ -526,6 +534,37 @@ class TestInvertF:
         with pytest.raises(TargetOutOfRangeError):
             invert_f(math.inf, AB, 1e-8)
 
+    def test_trace_budget_matches_the_reference(self, monkeypatch):
+        # With a small budget, runs that invert_f jumps over end at the budget: the jump must land where
+        # the one-mediant loop stops, which raises before a multiply toward a trace past the budget.
+        rng = random.Random(15)
+        cases = []
+        for ab in (Alphabet(1, 2), Alphabet(2, 5), Alphabet(3, 4)):
+            f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
+            for _ in range(6):
+                eps = 10 ** rng.uniform(-6, -3)
+                cases.append((f0 + eps if rng.random() < 0.5 else f1 - eps, 10 ** rng.uniform(-10, -6), ab))
+            cases.append((f0 + (f1 - f0) * rng.random(), 1e-11, ab))
+        def outcome(fn, *args):  # the result, or the step count in the budget error
+            try:
+                return fn(*args)
+            except NoConvergenceError as exc:
+                return re.search(r"budget.* \((\d+) steps\)$", str(exc)).group(1)
+
+        raised = 0
+        for bits in (300, 3000, 30000):
+            monkeypatch.setattr(levycf.levy, "INVERT_TRACE_BITS", bits)
+            for target, tol, ab in cases:
+                want = outcome(_invert_mat2, target, ab, tol, 10**6, bits)
+                assert outcome(invert_f, target, ab, tol) == want, (bits, target, tol, ab)
+                raised += isinstance(want, str)
+        assert 10 <= raised <= 3 * len(cases) - 5  # both outcomes occur
+
+    def test_trace_budget_message(self, monkeypatch):
+        monkeypatch.setattr(levycf.levy, "INVERT_TRACE_BITS", 500)
+        with pytest.raises(NoConvergenceError, match=r"within the trace budget of 500 bits \(\d+ steps\)"):
+            invert_f(0.7, AB, 1e-15)
+
     def test_long_run_takes_few_evaluations(self, monkeypatch):
         # f0 + 1e-6: a run of about 370,000 nodes toward 0/1, jumped over in O(log run) evaluations
         calls = []
@@ -545,11 +584,34 @@ class TestFareyPoints:
         for ab in (AB, Alphabet(2, 5)):
             for qmax in range(1, 61):
                 fracs = sorted({Fraction(p, q) for q in range(1, qmax + 1) for p in range(q + 1)})
-                assert farey_points(qmax, ab) == [slope_point(fr, ab) for fr in fracs], qmax
+                want = [(fr.numerator, fr.denominator, sp.f_value, sp.x_value) for fr in fracs
+                        for sp in [slope_point(fr, ab)]]
+                assert list(farey_points(qmax, ab)) == want, qmax
 
     def test_bad_qmax(self):
-        with pytest.raises(ValueError):
-            farey_points(0, AB)
+        # raised by the call itself, before any row is read
+        for qmax in (0, curve_qmax(AB) + 1):
+            with pytest.raises(ValueError, match=r"qmax must be in 1\.\.10000"):
+                farey_points(qmax, AB)
+
+    def test_x_past_float_range_raises_before_any_row(self):
+        # the walk's x increase with the slope, so the call checks 1/1 before yielding 0/1
+        with pytest.raises(OverflowError, match="x at slope 1/1 is past float range"):
+            farey_points(2, Alphabet(1, 10**400))
+
+    def test_count_matches_brute_force(self):
+        fracs = set()
+        for qmax in range(1, 201):
+            fracs.update(Fraction(p, qmax) for p in range(qmax + 1))
+            assert farey_count(qmax) == len(fracs), qmax
+
+    def test_qmax_bound_follows_the_letters(self):
+        # the walk's stack holds at most about qmax^2/2 * log2(b + 1) trace bits
+        assert curve_qmax(AB) == curve_qmax(Alphabet(3, 31)) == levycf.levy.CURVE_QMAX == 10**4
+        for b in (32, 10**15, 10**300):
+            limit = curve_qmax(Alphabet(1, b))
+            assert limit < 10**4
+            assert limit**2 * b.bit_length() <= 2 * levycf.levy.CURVE_STACK_BITS < (limit + 1) ** 2 * b.bit_length()
 
 
 class TestLevyEmpirical:

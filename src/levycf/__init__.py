@@ -46,6 +46,7 @@ from .levy import (
     mu_mean,
     rn_family,
     slope_point,
+    sturmian_birkhoff,
     sturmian_logq,
     tail_spread,
     trace_poly,
@@ -66,7 +67,7 @@ from .words import (
     factor_set,
     format_word,
     fraction_cf,
-    load_words,
+    load_letters,
     mechanical_lower,
     mechanical_upper,
     parse_word,

@@ -7,14 +7,15 @@ curve and xi commands emit their natural tables, everything else emits
 key,value rows.  Exit codes: 0 success, 1 no convergence (invert reached
 its step cap before the tolerance), 2 usage, 3 target out of range,
 4 insufficient input, 141 output pipe closed early (as in `levy ... | head`;
-nothing goes to stderr).
+nothing goes to stderr).  `curve` exits 2 after the rows it has written when
+two neighbouring rows have the same f to the 15 digits it prints, as letters
+a few ulps apart give.
 """
 
 import argparse
 import contextlib
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .levy import (
     levy_empirical,
     levy_quadratic,
     slope_point,
+    sturmian_birkhoff,
     sturmian_logq,
     tail_spread,
     xi_oscillation,
@@ -51,9 +53,8 @@ from .words import (
     SlopeCF,
     christoffel,
     format_word,
-    load_words,
+    load_letters,
     parse_word,
-    sturmian_letters,
 )
 
 EXIT_OK = 0
@@ -200,17 +201,23 @@ def cmd_curve(args, alphabet):
 
 
 def _curve_rows(points, count):
-    """The (p, q, f, x) rows with f and x rounded by _f15, checked as they stream past the writer.
+    """The (p, q, f, x) rows with f and x as their 15-digit text, checked as they stream past the writer.
 
-    A broken check raises after the rows before it were written.
+    Each value is formatted once, and f is compared as the float of its text.
+    Two rows with the same f text, which letters a few ulps apart give, raise
+    InvalidWordError; any other broken check raises AssertionError.  Either
+    is raised after the rows before it were written.
     """
-    prev, n = -math.inf, 0
+    prev, last, n = -math.inf, None, 0
     for p, q, f, x in points:
-        f = _f15(f)
+        f_text = f"{f:.15g}"
+        f = float(f_text)
+        if f == prev:
+            raise InvalidWordError(f"f at {p}/{q} equals f at {last[0]}/{last[1]} to the 15 digits that curve prints")
         if not prev < f:
             raise AssertionError(f"f not strictly increasing at {p}/{q}")
-        prev, n = f, n + 1
-        yield p, q, f, _f15(x)
+        prev, last, n = f, (p, q), n + 1
+        yield p, q, f_text, f"{x:.15g}"
     if n != count:
         raise AssertionError(f"{n} rows, expected the Farey count {count}")
 
@@ -264,30 +271,30 @@ def cmd_estimate(args, alphabet):
         raise InvalidWordError("--repeat is a digit tail for --slope; no other source reads it")
     birkhoff = args.method == "birkhoff"
     period = slope = None
-    if args.word is not None:
-        try:
-            words = load_words(args.word)
-        except OSError as exc:
-            raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
-        letters = itertools.chain.from_iterable(words)
-        flag, source = "--word", {"word_file": args.word}
-    elif args.slope is not None:
-        digits = _parse_digits(args.slope)
-        repeat = _parse_digits(args.repeat) if args.repeat else ()
-        slope = SlopeCF(digits, repeat=repeat)
-        letters = sturmian_letters(slope, alphabet)
-        flag, source = "--slope", {"slope_cf": list(digits), "repeat": list(repeat)}
-    else:
-        word = parse_word(args.periodic)
-        if not word:
-            raise InvalidWordError("--periodic must be nonempty")
-        letters, period = word, len(word)
-        flag, source = "--periodic", {"periodic": format_word(word)}
     try:
-        if slope is not None and not birkhoff:
-            res = sturmian_logq(slope, args.n, alphabet)
+        if args.word is not None:
+            flag, source = "--word", {"word_file": args.word}
+            try:
+                letters = load_letters(args.word)
+            except OSError as exc:
+                raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
+        elif args.slope is not None:
+            digits = _parse_digits(args.slope)
+            repeat = _parse_digits(args.repeat) if args.repeat else ()
+            slope = SlopeCF(digits, repeat=repeat)
+            flag, source = "--slope", {"slope_cf": list(digits), "repeat": list(repeat)}
         else:
+            word = parse_word(args.periodic)
+            if not word:
+                raise InvalidWordError("--periodic must be nonempty")
+            letters, period = word, len(word)
+            flag, source = "--periodic", {"periodic": format_word(word)}
+        if slope is None:
             res = levy_empirical(letters, args.n, method=args.method, tail_depth=args.tail_depth, period=period)
+        elif birkhoff:
+            res = sturmian_birkhoff(slope, args.n, alphabet, args.tail_depth)
+        else:
+            res = sturmian_logq(slope, args.n, alphabet)
     except OverflowError as exc:
         raise OverflowError(f"the {flag} letters are too large for the float estimators ({exc})") from None
     results = {
@@ -316,7 +323,7 @@ def _emit_csv(record, out):
     if command == "curve":
         out.write("p,q,slope,f,x\n")
         for p, q, f, x in record["results"]["rows"]:
-            out.write(f"{p},{q},{p}/{q},{f:.15g},{x:.15g}\n")
+            out.write(f"{p},{q},{p}/{q},{f},{x}\n")
         return
     if command == "xi":
         out.write("m,u\n")
@@ -333,7 +340,7 @@ def _emit_csv(record, out):
 
 
 # One curve row as json.dumps(record, indent=2) writes it inside results.rows, without the comma before it.
-# %d and %r give the int and float reprs that json.dumps writes; f and x are finite.
+# %d and %r give the int and float reprs that json.dumps writes of p, q and the floats of the f and x texts.
 _JSON_ROW = '\n      {\n        "p": %d,\n        "q": %d,\n        "f": %r,\n        "x": %r\n      }'
 
 
@@ -352,8 +359,8 @@ def _emit_json(record, out, start):
     head, tail = envelope.rsplit("[]", 1)  # tail closes results and holds "wall_time_s": null
     out.write(head + "[")
     sep = ""
-    for row in results["rows"]:
-        out.write(sep + _JSON_ROW % row)
+    for p, q, f, x in results["rows"]:
+        out.write(sep + _JSON_ROW % (p, q, float(f), float(x)))
         sep = ","
     out.write("\n    ]" + tail.replace("null", json.dumps(time.perf_counter() - start)) + "\n")
 
@@ -414,6 +421,9 @@ def main(argv=None):
                 _emit_csv({**record, "wall_time_s": time.perf_counter() - start}, buf)
                 sys.stdout.write(buf.getvalue())
         sys.stdout.flush()
+    except InvalidWordError as exc:  # a curve row that the table cannot print (_curve_rows)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed the pipe early (`levy ... | head`).  Point stdout
         # at devnull so that the interpreter's final flush stays silent.

@@ -223,6 +223,15 @@ class TestCurve:
                     main(["curve", "--qmax", "2", "-a", "1", "-b", "2", "--format", fmt])
                 assert written in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt, written", [("json", '"q": 1,'), ("csv", "p,q,slope,f,x\n0,1,0/1,34.5387763949107,999999999999999\n")])
+    def test_letters_too_close_for_15_digits_exit_2(self, capsys, fmt, written):
+        # f at 1/3 and at 0/1 agree to the 15 digits the table prints; rows before it stay written
+        argv = ["curve", "--qmax", "3", "-a", str(10**15), "-b", str(10**15 + 1), "--format", fmt]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert written in out.out
+        assert out.err.splitlines() == ["error: f at 1/3 equals f at 0/1 to the 15 digits that curve prints"]
+
     def test_x_past_float_range_names_the_slope(self, capsys):
         assert main(["curve", "--qmax", "2", "-a", "1", "-b", HUGE]) == 2
         out = capsys.readouterr()
@@ -417,6 +426,44 @@ class TestEstimate:
         # the truncation's tail spread over {1, 10^200} takes the float fallback
         record = run_json("estimate", "--periodic", f"1,{10**200}", "-n", "100", "--method", "birkhoff", "-a", "1", "-b", "2")
         assert abs(record["results"]["value"] - 100 * math.log(10)) < 1e-9
+
+    @pytest.mark.parametrize("text, n, code, err", [
+        ("1,2,1\n\n2,1,2\n\n", "4", 0, []),
+        ("1,2,1\r\n2,1,2\r\n", "4", 0, []),
+        ("1,2,1,\n2\n", "4", 2, ["error: cannot parse word '1,2,1,': invalid literal for int() with base 10: ''"]),
+        ("1,x,3\n", "1", 2, ["error: cannot parse word '1,x,3': invalid literal for int() with base 10: 'x'"]),
+        ("1,2\n1,0,3\n", "1", 2, ["error: letters must be positive integers, got 0"]),
+        (f"1,2,{HUGE},1\n", "4", 2,
+         ["error: the --word letters are too large for the float estimators (int too large to convert to float)"]),
+        (f"1,2,1,2\n{HUGE}\n", "2", 2,  # the whole file is converted, also past the letters that -n reads
+         ["error: the --word letters are too large for the float estimators (int too large to convert to float)"]),
+        ("", "4", 4, ["error: need 4 letters, got 0"]),
+        ("1,2,1\n", "4", 4, ["error: need 4 letters, got 3"]),
+        ("1,2,1\n", "1000000000000", 4, ["error: need 1000000000000 letters, got 3"]),
+    ], ids=["blank-lines", "crlf", "trailing-comma", "not-a-number", "letter-0", "past-float-range",
+            "past-float-range-unread", "empty", "short", "short-huge-n"])
+    def test_word_file_lines(self, tmp_path, capsys, text, n, code, err):
+        # blank lines are skipped and line ends stripped; anything else that is not a positive integer exits 2
+        path = tmp_path / "letters.txt"
+        path.write_bytes(text.encode())
+        assert main(["estimate", "--word", str(path), "-n", n, "-a", "1", "-b", "2"]) == code
+        out = capsys.readouterr()
+        assert out.err.splitlines() == err
+        if code == 0:
+            plain = tmp_path / "plain.txt"
+            plain.write_text("1,2,1\n2,1,2\n")
+            assert main(["estimate", "--word", str(plain), "-n", n, "-a", "1", "-b", "2"]) == 0
+            assert json.loads(out.out)["results"] == json.loads(capsys.readouterr().out)["results"]
+
+    def test_sturmian_birkhoff_at_huge_n(self, capsys):
+        # the windows are summed over the Ostrowski digits of the prefix, so n = 10^18 reads no letter
+        argv = ["estimate", "--slope", "1", "--repeat", "1", "-n", str(10**18), "-a", "1", "-b", "2"]
+        assert main(argv + ["--method", "birkhoff"]) == 0
+        birkhoff = json.loads(capsys.readouterr().out)["results"]
+        assert main(argv) == 0
+        logq = json.loads(capsys.readouterr().out)["results"]
+        assert birkhoff["tail_depth"] == 40
+        assert abs(birkhoff["value"] - logq["value"]) <= birkhoff["error_bound"]
 
     def test_missing_word_file_exits_2(self, tmp_path):
         path = tmp_path / "absent.txt"

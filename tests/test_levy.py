@@ -44,6 +44,7 @@ from levycf import (
     rn_family,
     slope_point,
     stern_brocot_parents,
+    sturmian_birkhoff,
     sturmian_logq,
     sturmian_prefix,
     tail_spread,
@@ -53,7 +54,7 @@ from levycf import (
 )
 import levycf.levy
 from levycf import _kernels
-from levycf.levy import _mu_root, levy_from_trace
+from levycf.levy import _birkhoff_monoid, _mu_root, levy_from_trace
 from levycf.words import sturmian_letters, xi_blocks
 
 AB = Alphabet(1, 2)
@@ -844,6 +845,75 @@ class TestSturmianLogq:
         sturmian_logq(Counted((), repeat=(1,)), 10**18, AB)
         k = GOLDEN.convergent_exceeding(10**18 - 2)[0]
         assert max(asked) == k
+
+
+def _result_or_message(route, error):
+    # what a caller sees of one route: its whole LevyResult, or the message of the error it raises
+    try:
+        return route()
+    except error as exc:
+        return str(exc)
+
+
+def _birkhoff_routes(slope, n, ab, depth):
+    # the window monoid and the sweep over the letters of s_{theta,0}
+    return (lambda: _birkhoff_monoid(slope, n, ab, depth),
+            lambda: levy_empirical(sturmian_letters(slope, ab), n, method="birkhoff", tail_depth=depth))
+
+
+class TestSturmianBirkhoff:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(1, 20), gap=st.integers(1, 40), digits=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+           repeat=st.lists(st.integers(1, 5), max_size=3), n=st.integers(1, 5000),
+           depth=st.sampled_from([2, 3, 5, 40, 57]))
+    def test_monoid_matches_stream_bit_for_bit(self, a, gap, digits, repeat, n, depth):
+        # value, error_bound and method, or the InsufficientDigitsError text of a digit list without a repeat
+        ab, slope = Alphabet(a, a + gap), SlopeCF(tuple(digits), repeat=tuple(repeat))
+        monoid, stream = (_result_or_message(route, InsufficientDigitsError)
+                          for route in _birkhoff_routes(slope, n, ab, depth))
+        assert monoid == stream
+        if not isinstance(monoid, str):
+            assert monoid.value.hex() == stream.value.hex()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(digits=st.lists(st.integers(1, 12), min_size=1, max_size=6), extra=st.integers(0, 1),
+           depth=st.sampled_from([2, 3, 5, 40, 57]))
+    def test_short_digit_list_boundary(self, digits, extra, depth):
+        # d_1..d_k fix q_k + 1 letters of s_{theta,0}; the n + depth letters read need d_{k+1} iff n + depth - 1 > q_k
+        slope = SlopeCF(tuple(digits))
+        n = slope.convergent(len(digits))[1] - depth + 1 + extra
+        assume(n >= 1)
+        outcomes = [_result_or_message(route, InsufficientDigitsError) for route in _birkhoff_routes(slope, n, AB, depth)]
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == f"slope digit d_{len(digits) + 1} unknown (only {len(digits)} given)") == bool(extra)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 40])
+    @pytest.mark.parametrize("huge", ["a", "b"])
+    def test_letter_past_float_range(self, n, huge):
+        # s_{theta,0} = a a^5 b ...: the n + 3 letters read hold b from n = 4 on, a at once
+        ab = Alphabet(10**400, 10**400 + 1) if huge == "a" else Alphabet(1, 10**400)
+        slope = SlopeCF((5,), repeat=(1,))
+        outcomes = [_result_or_message(route, OverflowError) for route in _birkhoff_routes(slope, n, ab, 3)]
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str) == (huge == "a" or n >= 4)
+
+    def test_cost_rule_picks_the_route(self, monkeypatch):
+        # deep windows over few letters read the letters; many windows read none
+        def refuse(*args):
+            raise AssertionError("route not expected")
+
+        monkeypatch.setattr(levycf.levy, "_birkhoff_monoid", refuse)
+        shallow = sturmian_birkhoff(GOLDEN, 10, AB, 20000)
+        assert shallow == levy_empirical(sturmian_letters(GOLDEN, AB), 10, method="birkhoff", tail_depth=20000)
+        monkeypatch.undo()
+        monkeypatch.setattr(levycf.levy, "sturmian_letters", refuse)
+        assert sturmian_birkhoff(GOLDEN, 10**6, AB) == _birkhoff_monoid(GOLDEN, 10**6, AB, 40)
+
+    def test_huge_n(self):
+        # n = 10^18 windows from about 90 standard words; (log Q_n)/n at the same n estimates the same f
+        res = sturmian_birkhoff(GOLDEN, 10**18, AB)
+        assert abs(res.value - sturmian_logq(GOLDEN, 10**18, AB).value) <= res.error_bound
+        assert res.method == "empirical-birkhoff"
 
 
 class TestXiOscillation:

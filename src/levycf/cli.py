@@ -9,7 +9,8 @@ its step cap before the tolerance), 2 usage, 3 target out of range,
 4 insufficient input, 141 output pipe closed early (as in `levy ... | head`;
 nothing goes to stderr).  `curve` exits 2 after the rows it has written when
 two neighbouring rows have the same f to the 15 digits it prints, as letters
-a few ulps apart give.
+a few ulps apart give; in JSON the row list and the record are then closed,
+so stdout is still one JSON document, with fewer rows than its count.
 """
 
 import argparse
@@ -39,7 +40,6 @@ from .levy import (
     farey_count,
     farey_points,
     invert_f,
-    letter_levy,
     levy_empirical,
     levy_quadratic,
     slope_point,
@@ -350,6 +350,7 @@ def _emit_json(record, out, start):
     curve's rows are lazy: json.dumps writes the envelope around an empty row
     list, and the rows stream into it one _JSON_ROW each, so no row list is
     built.  Its wall_time_s is taken after the last row, so it covers the walk.
+    A row stream that raises still closes the row list and the record.
     """
     results = record["results"]
     if record["command"] != "curve":
@@ -359,10 +360,12 @@ def _emit_json(record, out, start):
     head, tail = envelope.rsplit("[]", 1)  # tail closes results and holds "wall_time_s": null
     out.write(head + "[")
     sep = ""
-    for p, q, f, x in results["rows"]:
-        out.write(sep + _JSON_ROW % (p, q, float(f), float(x)))
-        sep = ","
-    out.write("\n    ]" + tail.replace("null", json.dumps(time.perf_counter() - start)) + "\n")
+    try:
+        for p, q, f, x in results["rows"]:
+            out.write(sep + _JSON_ROW % (p, q, float(f), float(x)))
+            sep = ","
+    finally:
+        out.write("\n    ]" + tail.replace("null", json.dumps(time.perf_counter() - start)) + "\n")
 
 
 @contextlib.contextmanager

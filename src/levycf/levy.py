@@ -58,6 +58,10 @@ XI_MMAX = 1000  # past m = 1023 the block length 2^m overflows a float
 # CURVE_STACK_BITS (32 MB).  At qmax 2000 with a = 10^300, b = a + 1 the walk peaked at 533 MB of RSS.
 CURVE_QMAX = 10**4
 CURVE_STACK_BITS = 2**28
+# The deepest Birkhoff window, so that no few-digit --tail-depth runs for minutes: every birkhoff route takes
+# O(tail_depth) numpy steps per batch of windows.  At 2048 the slowest, a Sturmian slope at n = 10^18, takes
+# about 1.2 s as a child process on a 2-core VM.
+TAIL_DEPTH_MAX = 2048
 
 
 @dataclass(frozen=True)
@@ -553,8 +557,8 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         raise ValueError("period must be >= 1")
     if method not in ("logq", "birkhoff"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "birkhoff" and tail_depth < 2:
-        raise ValueError("tail_depth must be >= 2")
+    if method == "birkhoff" and not 2 <= tail_depth <= TAIL_DEPTH_MAX:
+        raise ValueError(f"tail_depth must be in 2..{TAIL_DEPTH_MAX}, got {tail_depth}")
     if period is not None:
         [(word, _)] = _chunks(letters, period, period)  # keep = period: one array of the whole period
         if method == "logq":
@@ -585,20 +589,24 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     return _birkhoff_result(value, amin, amax, n, tail_depth)
 
 
-def _ostrowski_prefix(slope: SlopeCF, length: int, need: int, m_b, m_a, power, product):
-    """The first `length` letters of s_{theta,0} = a c_theta as one element of a monoid.
+def _ostrowski_prefix(slope: SlopeCF, length: int, need: int, alphabet: Alphabet, leaf):
+    """The first `length` letters of s_{theta,0} = a c_theta as a monoid element, and the largest of the first `need`.
 
     Write length - 1 greedily as sum b_k q_k with q_k = |M_k|.  The prefix of
     c_theta of that length is then M_K^{b_K} ... M_1^{b_1} M_0^{b_0} (T. C. Brown,
-    Canad. Math. Bull. 36, 1993), so the result is m_a times the product of the
-    M_k^{b_k}, folded from the left, with no letter generated: O(sum log d_k +
-    log length) products.  m_b and m_a stand for the letters b = M_{-1} and
-    a = M_0, and power and product are the monoid's, as for standard_sequence.
-    The digits asked for are d_1..d_K with q_K >= need - 1: those that fix the
-    first need letters, the ones that reading need letters of sturmian_letters
-    asks for, so a short digit list raises the same InsufficientDigitsError.
-    Only the M_k that the sum uses are built.
+    Canad. Math. Bull. 36, 1993), so the result is leaf(a) times the product of
+    the M_k^{b_k}, folded from the left with the monoid's @ and **, with no
+    letter generated: O(sum log d_k + log length) products.  leaf maps a
+    letter to its monoid element.  The largest letter and the digits asked for
+    are those of reading the first need letters of sturmian_letters: d_1..d_K
+    with q_K >= need - 1, so a short digit list raises the same
+    InsufficientDigitsError.  Only the M_k that the sum uses are built.
     """
+    # s_{theta,0} = a a^{d_1} b ...: b is among the first need letters iff need - 1 > d_1.  An unread b would enter
+    # only through M_1, which the prefix then does not use, so a stands in for it.  The leaves come before any
+    # digit past d_1, so a letter past float range that is read fails first, as it does on the letter route.
+    amax = alphabet.b if need - 1 > slope.digit(1) else alphabet.a
+    m_a, m_b = leaf(alphabet.a), leaf(amax)
     lengths = []
     for _, _, q in slope.convergents():
         lengths.append(q)
@@ -610,12 +618,17 @@ def _ostrowski_prefix(slope: SlopeCF, length: int, need: int, m_b, m_a, power, p
         counts.append(count)
     counts.reverse()  # b_0, b_1, ..., b_K
     used = max((k + 1 for k, count in enumerate(counts) if count), default=1)
-    words = standard_sequence(map(slope.digit, range(1, used)), m_b, m_a, power, product)
+    words = standard_sequence(map(slope.digit, range(1, used)), m_b, m_a, operator.pow, operator.matmul)
     prod = m_a
     for m, count in reversed(list(zip(words, counts))):
         if count:
-            prod = product(prod, power(m, count))
-    return prod
+            prod = prod @ m**count
+    return prod, amax
+
+
+def _cf_leaf(x: int) -> ScaledMat2:
+    float(x)  # the letter route reads each letter as a float, so one past float range fails here as there
+    return ScaledMat2.of(Mat2(x, 1, 1, 0))
 
 
 def sturmian_logq(slope: SlopeCF, n: int, alphabet: Alphabet) -> LevyResult:
@@ -630,14 +643,7 @@ def sturmian_logq(slope: SlopeCF, n: int, alphabet: Alphabet) -> LevyResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a, b = alphabet.a, alphabet.b
-    # s_{theta,0} = a a^{d_1} b ...: b is among the first n letters iff n - 1 > d_1.  The stream
-    # route reads each letter as a float, so one past float range fails here as it fails there.
-    float(a)
-    amax = b if n - 1 > slope.digit(1) else a
-    float(amax)
-    letter_b, letter_a = (ScaledMat2.of(Mat2(x, 1, 1, 0)) for x in (b, a))
-    prod = _ostrowski_prefix(slope, n, n, letter_b, letter_a, operator.pow, operator.matmul)
+    prod, amax = _ostrowski_prefix(slope, n, n, alphabet, _cf_leaf)
     return LevyResult(prod.log_e11 / n, _heuristic_bias(amax, n), METHOD_LOGQ)
 
 
@@ -662,62 +668,43 @@ class _WindowSums:
     tail: np.ndarray
 
     @classmethod
-    def letter(cls, x: int, depth: int) -> "_WindowSums":
-        arr = np.array([x], dtype=np.float64)
-        return cls(depth, 1, Fraction(0), arr, arr)
+    def of(cls, letters: np.ndarray, depth: int) -> "_WindowSums":
+        """The element of a float64 array of letters, with the exact log sum of its complete windows."""
+        keep, total = depth - 1, Fraction(0)
+        if letters.shape[0] > keep:
+            tails = _kernels.birkhoff_tails(letters, letters.shape[0] - keep, depth)
+            total = _exact_sum(np.log(tails, out=tails))
+        return cls(depth, letters.shape[0], total, letters[:keep], letters[-keep:])
 
     def __matmul__(self, other):
-        depth, keep = self.depth, self.depth - 1
-        joined = np.concatenate((self.tail, other.head))
-        total = self.total + other.total
-        if joined.shape[0] > keep:
-            tails = _kernels.birkhoff_tails(joined, joined.shape[0] - keep, depth)
-            total += _exact_sum(np.log(tails, out=tails))
-        head = self.head if self.length >= keep else joined[:keep]
-        tail = other.tail if other.length >= keep else joined[-keep:]
-        return _WindowSums(depth, self.length + other.length, total, head, tail)
+        keep = self.depth - 1
+        straddle = _WindowSums.of(np.concatenate((self.tail, other.head)), self.depth)
+        head = self.head if self.length >= keep else straddle.head
+        tail = other.tail if other.length >= keep else straddle.tail
+        return _WindowSums(self.depth, self.length + other.length, self.total + other.total + straddle.total, head, tail)
 
     def __pow__(self, e: int):
         return _power(self, e, None)  # e >= 1: the digits and Ostrowski counts that are powered
 
 
-# sturmian_birkhoff reads the letters below n = 32 max(tail_depth, 256) windows.  Each monoid product that
-# straddles costs tail_depth kernel steps over up to tail_depth windows, plus about 20 us of Python, and a
-# request makes about 3 log2(n + tail_depth) of them; each letter costs about 0.3 us plus tail_depth window
-# steps.  Monoid against letters on the golden slope, in process on a 2-core VM: 1.70 against 1.00 ms at
-# n = 2560 and 2.47 against 2.90 ms at n = 10240 (tail_depth 40); 91 against 87 ms at n = 32000 and 120
-# against 364 ms at n = 128000 (tail_depth 2000); 123 against 28 ms at n = 10, tail_depth 20000.
-_MONOID_WINDOWS = 32
-_MONOID_MIN_DEPTH = 256
-
-
 def sturmian_birkhoff(slope: SlopeCF, n: int, alphabet: Alphabet, tail_depth: int = 40) -> LevyResult:
     """levy_empirical(sturmian_letters(slope, alphabet), n, "birkhoff", tail_depth), bit for bit.
 
-    From n = 32 max(tail_depth, 256) on, the windows are summed in the
-    _WindowSums monoid over the Ostrowski digits (_birkhoff_monoid), at a
-    cost of O(tail_depth^2 (sum log d_k + log n)) whatever n is; below it the
-    letters are read, which costs less there.
+    The n windows cover the first n + tail_depth - 1 letters of s_{theta,0},
+    which _ostrowski_prefix folds in the _WindowSums monoid, at a cost of
+    O(tail_depth^2 (sum log d_k + log n)) whatever n is.  The value is
+    float(exact sum) / n, the two roundings of the letter route, and the
+    digits asked for and the extremes behind error_bound are those of its
+    n + tail_depth letters.
     """
-    if n < _MONOID_WINDOWS * max(tail_depth, _MONOID_MIN_DEPTH):
-        return levy_empirical(sturmian_letters(slope, alphabet), n, method="birkhoff", tail_depth=tail_depth)
-    return _birkhoff_monoid(slope, n, alphabet, tail_depth)
-
-
-def _birkhoff_monoid(slope: SlopeCF, n: int, alphabet: Alphabet, tail_depth: int) -> LevyResult:
-    # The n windows cover the first n + tail_depth - 1 letters of s_{theta,0}, folded by _ostrowski_prefix
-    # in the _WindowSums monoid.  The value is float(exact sum) / n, the two roundings of the letter route,
-    # and the digits asked for and the extremes behind error_bound are those of its n + tail_depth letters.
-    if tail_depth < 2:  # an n below 1 went to levy_empirical, which refuses it
-        raise ValueError("tail_depth must be >= 2")
-    a, length = alphabet.a, n + tail_depth - 1
-    # b is among the n + tail_depth letters read iff length > d_1 (see sturmian_logq).  M_{-1} = b enters the
-    # prefix only through M_1, which a prefix without b does not use, so an unread b is never converted, and
-    # a letter past float range that is read raises OverflowError here, as it does on the letter route.
-    amax = alphabet.b if length > slope.digit(1) else a
-    m_b, m_a = (_WindowSums.letter(x, tail_depth) for x in (amax, a))
-    prod = _ostrowski_prefix(slope, length, length + 1, m_b, m_a, operator.pow, operator.matmul)
-    return _birkhoff_result(_mean(prod.total, n), a, amax, n, tail_depth)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 2 <= tail_depth <= TAIL_DEPTH_MAX:
+        raise ValueError(f"tail_depth must be in 2..{TAIL_DEPTH_MAX}, got {tail_depth}")
+    length = n + tail_depth - 1
+    prod, amax = _ostrowski_prefix(slope, length, length + 1, alphabet,
+                                   lambda x: _WindowSums.of(np.array([x], dtype=np.float64), tail_depth))
+    return _birkhoff_result(_mean(prod.total, n), alphabet.a, amax, n, tail_depth)
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,13 @@ class TestCurve:
         assert written in out.out
         assert out.err.splitlines() == ["error: f at 1/3 equals f at 0/1 to the 15 digits that curve prints"]
 
+    def test_letters_too_close_still_close_the_json(self, capsys):
+        # the rows before the tie are written, then the row list and the record are closed
+        assert main(["curve", "--qmax", "3", "-a", str(10**15), "-b", str(10**15 + 1)]) == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [(row["p"], row["q"]) for row in results["rows"]] == [(0, 1)]
+        assert len(results["rows"]) < results["count"] == 5
+
     def test_x_past_float_range_names_the_slope(self, capsys):
         assert main(["curve", "--qmax", "2", "-a", "1", "-b", HUGE]) == 2
         out = capsys.readouterr()
@@ -531,6 +538,18 @@ class TestEstimate:
         assert main(argv + ["-a", "1", "-b", "2"]) == 0
         bound = json.loads(capsys.readouterr().out)["results"]["error_bound"]
         assert math.isfinite(bound) and bound > 0
+
+    @pytest.mark.parametrize("source", [["--periodic", "1,2"], ["--slope", "1", "--repeat", "1"], ["--word"]])
+    def test_birkhoff_tail_depth_past_bound_exits_2(self, tmp_path, source, capsys):
+        # every birkhoff route takes O(tail_depth) numpy steps, so the depth is bounded before any window is summed
+        if source == ["--word"]:
+            source = ["--word", str(tmp_path / "letters.txt")]
+            (tmp_path / "letters.txt").write_text("1,2\n" * 2000)
+        argv = ["estimate", *source, "-n", "10", "--method", "birkhoff", "--tail-depth", "2049", "-a", "1", "-b", "2"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: tail_depth must be in 2..2048, got 2049"]
 
     def test_sturmian_stream_memory(self, capsys):
         # logq on a Sturmian source generates no letter: it multiplies one scaled

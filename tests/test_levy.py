@@ -54,7 +54,7 @@ from levycf import (
 )
 import levycf.levy
 from levycf import _kernels
-from levycf.levy import _birkhoff_monoid, _mu_root, levy_from_trace
+from levycf.levy import TAIL_DEPTH_MAX, _mu_root, levy_from_trace
 from levycf.words import sturmian_letters, xi_blocks
 
 AB = Alphabet(1, 2)
@@ -857,7 +857,7 @@ def _result_or_message(route, error):
 
 def _birkhoff_routes(slope, n, ab, depth):
     # the window monoid and the sweep over the letters of s_{theta,0}
-    return (lambda: _birkhoff_monoid(slope, n, ab, depth),
+    return (lambda: sturmian_birkhoff(slope, n, ab, depth),
             lambda: levy_empirical(sturmian_letters(slope, ab), n, method="birkhoff", tail_depth=depth))
 
 
@@ -865,7 +865,7 @@ class TestSturmianBirkhoff:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(1, 20), gap=st.integers(1, 40), digits=st.lists(st.integers(1, 30), min_size=1, max_size=6),
            repeat=st.lists(st.integers(1, 5), max_size=3), n=st.integers(1, 5000),
-           depth=st.sampled_from([2, 3, 5, 40, 57]))
+           depth=st.sampled_from([2, 3, 5, 40, 57, 300]))
     def test_monoid_matches_stream_bit_for_bit(self, a, gap, digits, repeat, n, depth):
         # value, error_bound and method, or the InsufficientDigitsError text of a digit list without a repeat
         ab, slope = Alphabet(a, a + gap), SlopeCF(tuple(digits), repeat=tuple(repeat))
@@ -897,17 +897,20 @@ class TestSturmianBirkhoff:
         assert outcomes[0] == outcomes[1]
         assert isinstance(outcomes[0], str) == (huge == "a" or n >= 4)
 
-    def test_cost_rule_picks_the_route(self, monkeypatch):
-        # deep windows over few letters read the letters; many windows read none
-        def refuse(*args):
-            raise AssertionError("route not expected")
+    def test_deep_windows_over_few_letters(self):
+        # the case the letter route used to serve: ten windows of the deepest tail_depth
+        depth = TAIL_DEPTH_MAX
+        sweep = levy_empirical(sturmian_letters(GOLDEN, AB), 10, method="birkhoff", tail_depth=depth)
+        got = sturmian_birkhoff(GOLDEN, 10, AB, depth)
+        assert got == sweep
+        assert got.value.hex() == sweep.value.hex()
 
-        monkeypatch.setattr(levycf.levy, "_birkhoff_monoid", refuse)
-        shallow = sturmian_birkhoff(GOLDEN, 10, AB, 20000)
-        assert shallow == levy_empirical(sturmian_letters(GOLDEN, AB), 10, method="birkhoff", tail_depth=20000)
-        monkeypatch.undo()
-        monkeypatch.setattr(levycf.levy, "sturmian_letters", refuse)
-        assert sturmian_birkhoff(GOLDEN, 10**6, AB) == _birkhoff_monoid(GOLDEN, 10**6, AB, 40)
+    @pytest.mark.parametrize("depth", [1, TAIL_DEPTH_MAX + 1])
+    def test_tail_depth_bound(self, depth):
+        # both birkhoff routes refuse a depth outside 2..TAIL_DEPTH_MAX before any letter or digit is read
+        routes = _birkhoff_routes(SlopeCF((1,)), 10**6, AB, depth)
+        assert [_result_or_message(route, ValueError) for route in routes] == [
+            f"tail_depth must be in 2..{TAIL_DEPTH_MAX}, got {depth}"] * 2
 
     def test_huge_n(self):
         # n = 10^18 windows from about 90 standard words; (log Q_n)/n at the same n estimates the same f

@@ -35,6 +35,7 @@ from .levy import (
     METHOD_RATIONAL,
     XI_MMAX,
     QuadPeriod,
+    _check_tail_depth,
     curve_qmax,
     f_convergent,
     farey_count,
@@ -270,6 +271,8 @@ def cmd_estimate(args, alphabet):
     if args.repeat is not None and args.slope is None:
         raise InvalidWordError("--repeat is a digit tail for --slope; no other source reads it")
     birkhoff = args.method == "birkhoff"
+    if birkhoff:
+        _check_tail_depth(args.tail_depth)  # before any letter or digit is read, as -n is
     period = slope = None
     try:
         if args.word is not None:

@@ -504,6 +504,12 @@ def _chunks(letters, count: int, keep: int):
         yield arr, arr.shape[0] - piece.shape[0]
 
 
+def _check_tail_depth(tail_depth: int) -> None:
+    # the bound of every birkhoff route; the CLI checks it before any source is read
+    if not 2 <= tail_depth <= TAIL_DEPTH_MAX:
+        raise ValueError(f"tail_depth must be in 2..{TAIL_DEPTH_MAX}, got {tail_depth}")
+
+
 def _heuristic_bias(amax: int, n: int) -> float:
     # O(1/n) bias guess for (log Q_n)/n style estimates; not rigorous.
     return (math.log(2.0) + letter_levy(amax)) / n
@@ -557,8 +563,8 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         raise ValueError("period must be >= 1")
     if method not in ("logq", "birkhoff"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "birkhoff" and not 2 <= tail_depth <= TAIL_DEPTH_MAX:
-        raise ValueError(f"tail_depth must be in 2..{TAIL_DEPTH_MAX}, got {tail_depth}")
+    if method == "birkhoff":
+        _check_tail_depth(tail_depth)
     if period is not None:
         [(word, _)] = _chunks(letters, period, period)  # keep = period: one array of the whole period
         if method == "logq":
@@ -699,8 +705,7 @@ def sturmian_birkhoff(slope: SlopeCF, n: int, alphabet: Alphabet, tail_depth: in
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 2 <= tail_depth <= TAIL_DEPTH_MAX:
-        raise ValueError(f"tail_depth must be in 2..{TAIL_DEPTH_MAX}, got {tail_depth}")
+    _check_tail_depth(tail_depth)
     length = n + tail_depth - 1
     prod, amax = _ostrowski_prefix(slope, length, length + 1, alphabet,
                                    lambda x: _WindowSums.of(np.array([x], dtype=np.float64), tail_depth))

@@ -8,6 +8,7 @@ arithmetic: Sturmian and Christoffel words come from standard_sequence,
 irrational mechanical words from a convergent with floor-ambiguity checks.
 """
 
+import io
 import itertools
 import operator
 from dataclasses import dataclass
@@ -505,21 +506,62 @@ def format_word(w: Word) -> str:
     return ",".join(str(x) for x in w)
 
 
-def load_letters(path) -> np.ndarray:
-    """The letters of a file, one word per line (comma-separated), blank lines skipped, as one float64 array.
+# bytes per block of the fast parse, each extended to the end of its line, so its temporaries stay O(block)
+_BLOCK = 1 << 14
 
-    Each line is parsed and checked as parse_word does, and its letters are
-    appended as doubles to one growing buffer, which the array then views; a
-    letter past float range raises OverflowError.
-    """
+
+def _block_letters(block: np.ndarray):
+    # The letters of one block of file bytes that ends at a line end or at the end of the file, as float64;
+    # None unless every byte is a digit 1-9, ',' or '\n', no two digits are adjacent and every ',' has a
+    # digit on each side.
+    d = block - np.uint8(48)  # digits to 0..9, every other byte to 10..255
+    digit = (d >= 1) & (d <= 9)  # a 0 goes to the line parser, which rejects it
+    comma = block == 44
+    if not (digit | comma | (block == 10)).all() or (digit[1:] & digit[:-1]).any():
+        return None
+    if comma[0] or comma[-1] or (comma[1:] & ~digit[:-1]).any() or (comma[:-1] & ~digit[1:]).any():
+        return None
+    return d[digit].astype(np.float64)
+
+
+def _parse_lines(fh) -> np.ndarray:
+    # the letters of a text stream: each nonempty stripped line parsed and checked as parse_word does, and
+    # appended as doubles to one growing buffer, which the array then views
     import array  # here, not at the top: its extension module adds about 0.2 MB of RSS to every process
 
     letters = array.array("d")
-    with open(path) as fh:
-        for line in fh:
-            if line := line.strip():
-                word = _parse_letters(line)
-                if min(word) < 1:
-                    as_word(word)  # raises, naming the first letter below 1
-                letters.fromlist(word)
+    for line in fh:
+        if line := line.strip():
+            word = _parse_letters(line)
+            if min(word) < 1:
+                as_word(word)  # raises, naming the first letter below 1
+            letters.fromlist(word)
     return np.frombuffer(letters, dtype=np.float64)
+
+
+def load_letters(path) -> np.ndarray:
+    """The letters of a file, one word per line (comma-separated), blank lines skipped, as one float64 array.
+
+    The file is read once, as bytes.  A file of one-digit letters 1-9,
+    commas and line feeds only, whose every comma sits between two digits,
+    is parsed by numpy in blocks of about _BLOCK bytes cut at line ends.  Any
+    other file (letters of two or more digits, CRLF, spaces, signs, empty
+    tokens, a 0, other bytes) goes to the line parser through a text wrapper
+    over the same bytes, with open()'s universal newlines and locale
+    encoding: each line is parsed and checked as parse_word does, and a
+    letter past float range raises OverflowError.  Both give the same
+    letters, and the errors are the line parser's.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    letters = np.empty((len(data) + 1) // 2)  # one-digit letters are separated, so at most one per two bytes
+    start = filled = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK - 1) + 1 or len(data)
+        block = _block_letters(raw[start:end])
+        if block is None:
+            return _parse_lines(io.TextIOWrapper(io.BytesIO(data)))
+        letters[filled : filled + block.shape[0]] = block
+        start, filled = end, filled + block.shape[0]
+    return letters[:filled]

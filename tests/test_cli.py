@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import levycf
 import levycf.cli
-from levycf import Alphabet, Mat2, ScaledMat2, SlopeCF, christoffel, parse_word, slope_point, trace
+from levycf import Alphabet, Mat2, ScaledMat2, SlopeCF, christoffel, levy_empirical, parse_word, slope_point, trace
 from levycf.cli import main
 from levycf.errors import NoConvergenceError
 from levycf.words import standard_sequence
@@ -461,6 +462,29 @@ class TestEstimate:
             plain.write_text("1,2,1\n2,1,2\n")
             assert main(["estimate", "--word", str(plain), "-n", n, "-a", "1", "-b", "2"]) == 0
             assert json.loads(out.out)["results"] == json.loads(capsys.readouterr().out)["results"]
+
+    @pytest.mark.parametrize("method", ["logq", "birkhoff"])
+    def test_word_file_of_many_digit_letters(self, tmp_path, capsys, method):
+        # letters of several digits go through the line parser, with LF and CRLF line ends alike
+        rng = random.Random(4)
+        letters = [rng.choice((10, 123, 7, 10**14 + 1)) for _ in range(3000)]
+        argv = ["estimate", "-n", "2900", "--method", method, "-a", "10", "-b", "123"]
+        path = tmp_path / "letters.txt"
+        path.write_text("\n".join(",".join(map(str, letters[i : i + 70])) for i in range(0, 3000, 70)))
+        assert main(argv + ["--word", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)["results"]
+        expect = levy_empirical(letters, 2900, method)
+        assert record["value"] == float(f"{expect.value:.15g}")
+        path.write_text(path.read_text().replace("\n", "\r\n"))
+        assert main(argv + ["--word", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == record
+
+    def test_tail_depth_checked_before_the_word_file(self, tmp_path, capsys):
+        argv = ["estimate", "--word", str(tmp_path / "absent.txt"), "-n", "10", "-a", "1", "-b", "2"]
+        assert main(argv + ["--method", "birkhoff", "--tail-depth", "2049"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: tail_depth must be in 2..2048, got 2049"]
+        assert main(argv + ["--tail-depth", "2049"]) == 2  # logq ignores the flag
+        assert capsys.readouterr().err.startswith("error: cannot read --word file: No such file or directory")
 
     def test_sturmian_birkhoff_at_huge_n(self, capsys):
         # the windows are summed over the Ostrowski digits of the prefix, so n = 10^18 reads no letter

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levycf import (
     Alphabet,
@@ -24,6 +26,7 @@ from levycf import (
     factor_set,
     format_word,
     fraction_cf,
+    load_letters,
     mechanical_lower,
     mechanical_upper,
     parse_word,
@@ -33,6 +36,7 @@ from levycf import (
     sturmian_prefix,
     xi_word,
 )
+from levycf import words
 from levycf.words import characteristic_letters, morphism_letters, sturmian_letters, xi_blocks
 
 AB = Alphabet(1, 2)
@@ -597,3 +601,82 @@ class TestSerialization:
         assert fraction_cf(Fraction(0, 1)) == ()
         assert fraction_cf(Fraction(1, 1)) == (1,)
         assert fraction_cf(Fraction(2, 5)) == (2, 2)
+
+
+def _outcome(read):
+    # the letters as a list, or the exception's type and text
+    try:
+        return read().tolist()
+    except Exception as exc:  # noqa: BLE001 - every error must match
+        return type(exc), str(exc)
+
+
+def _line_parsed(path):
+    # the line parser over the file in text mode, as open() reads it
+    with open(path) as fh:
+        return words._parse_lines(fh)
+
+
+# files that the fast path takes: lines (blank ones too) of one-digit letters 1-9
+_PLAIN_FILES = st.builds(
+    lambda lines, end: b"\n".join(b",".join(line) for line in lines) + end,
+    st.lists(st.lists(st.integers(1, 9).map(lambda x: str(x).encode()), max_size=8), max_size=8),
+    st.sampled_from([b"", b"\n"]),
+)
+# what sends a file to the line parser, each placed at a random byte of a plain file
+_DEFECTS = st.sampled_from(
+    [b"10", b"123", b"007", b"9" * 15]  # 2-15 digits, and longer where a defect lands next to a digit
+    + [b"9" * 16, str(2**53 + 1).encode(), b"12345678901234567890", b"1" + b"0" * 19]  # 16-20 digits
+    + [b"9" * 400, b"0", b"00", b",", b",,", b"\r\n", b"\r", b" ", b"+", b"-", b"_", b"\t", b"\xff",
+       "\u00e9".encode(), "\u0663".encode()]  # U+0663 is a digit that int() reads
+)
+
+
+class TestLoadLetters:
+    def test_fast_path_matches_line_parser(self, tmp_path):
+        path = tmp_path / "letters.txt"
+
+        @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @given(text=_PLAIN_FILES,
+               defects=st.lists(st.tuples(st.integers(0, 10**6) | st.sampled_from([0, -1]), _DEFECTS), max_size=3))
+        def check(text, defects):
+            for at, defect in defects:
+                at %= len(text) + 1
+                text = text[:at] + defect + text[at:]
+            path.write_bytes(text)
+            assert _outcome(lambda: load_letters(path)) == _outcome(lambda: _line_parsed(path))
+
+        check()
+
+    @pytest.mark.parametrize("text", [b",1", b"1,", b"1\n,2", b"1,\n2", b"1,,2", b",", b"\n,\n", b"1\n\n,2\n", b"0"])
+    def test_commas_and_zeros_go_to_the_line_parser(self, tmp_path, text):
+        path = tmp_path / "letters.txt"
+        path.write_bytes(text)
+        got = _outcome(lambda: load_letters(path))
+        assert isinstance(got, tuple) and got == _outcome(lambda: _line_parsed(path))
+
+    def test_plain_files_skip_the_line_parser(self, tmp_path, monkeypatch):
+        rng = random.Random(5)
+        lines = [[rng.randint(1, 9) for _ in range(rng.randint(1, 900))] for _ in range(200)]
+        one_line = [rng.randint(1, 9) for _ in range(3 * words._BLOCK)]  # longer than a block, cut at no line end
+        monkeypatch.setattr(words, "_parse_lines", None)
+        for text, letters in [
+            ("\n".join(map(format_word, lines)) + "\n\n", [x for line in lines for x in line]),
+            (format_word(one_line), one_line),
+            ("", []),
+            ("\n\n", []),
+        ]:
+            path = tmp_path / "letters.txt"
+            path.write_text(text)
+            assert load_letters(path).tolist() == letters
+
+    @pytest.mark.parametrize("last, fails", [
+        (b"2,\xff\n", True), (b"2,0\n", True), (b"2," + b"1" * 16 + b"\n", False), (b"2\r\n", False),
+    ])
+    def test_a_bad_last_line(self, tmp_path, last, fails):
+        # the blocks before it were parsed, and the whole file goes to the line parser
+        path = tmp_path / "letters.txt"
+        path.write_bytes(b"1,2,3\n" * (3 * words._BLOCK // 6) + last)
+        got = _outcome(lambda: load_letters(path))
+        assert got == _outcome(lambda: _line_parsed(path))
+        assert isinstance(got, tuple) == fails

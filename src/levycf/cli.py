@@ -16,7 +16,6 @@ so stdout is still one JSON document, with fewer rows than its count.
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import os
@@ -37,7 +36,7 @@ from .levy import (
     QuadPeriod,
     _check_tail_depth,
     curve_qmax,
-    f_convergent,
+    f_irrational,
     farey_count,
     farey_points,
     invert_f,
@@ -181,7 +180,7 @@ def cmd_slope(args, alphabet):
     if depth < 1:
         raise InvalidWordError("--depth must be >= 1")
     p_k, q_k = slope.convergent(depth)
-    res = f_convergent(p_k, q_k, alphabet)
+    res = f_irrational(slope, depth, alphabet)
     return {"cf": list(digits), "repeat": list(repeat), "depth": depth}, {
         "p_k": p_k,
         "q_k": q_k,
@@ -321,7 +320,8 @@ HANDLERS = {
 }
 
 
-def _emit_csv(record, out):
+def _emit_csv(record, out, start):
+    """Write the record's CSV rows, with wall_time_s counted from start where a key,value table prints it."""
     command = record["command"]
     if command == "curve":
         out.write("p,q,slope,f,x\n")
@@ -339,7 +339,7 @@ def _emit_csv(record, out):
     for section in ("params", "results"):
         for key, value in record[section].items():
             out.write(f"{section}.{key},{value}\n")
-    out.write(f"wall_time_s,{record['wall_time_s']}\n")
+    out.write(f"wall_time_s,{time.perf_counter() - start}\n")
 
 
 # One curve row as json.dumps(record, indent=2) writes it inside results.rows, without the comma before it.
@@ -418,14 +418,7 @@ def main(argv=None):
     }
     try:
         with _int_digits_unlimited():
-            if args.format == "json":
-                _emit_json(record, sys.stdout, start)
-            elif args.command == "curve":  # its rows stream from the walk
-                _emit_csv(record, sys.stdout)
-            else:
-                buf = io.StringIO()
-                _emit_csv({**record, "wall_time_s": time.perf_counter() - start}, buf)
-                sys.stdout.write(buf.getvalue())
+            (_emit_json if args.format == "json" else _emit_csv)(record, sys.stdout, start)
         sys.stdout.flush()
     except InvalidWordError as exc:  # a curve row that the table cannot print (_curve_rows)
         print(f"error: {exc}", file=sys.stderr)

@@ -204,10 +204,6 @@ def _f_x(p: int, q: int, t: int) -> tuple:
     return f, x
 
 
-def _point(pq: Fraction, t: int) -> SlopePoint:
-    return SlopePoint(pq, *_f_x(pq.numerator, pq.denominator, t), t)
-
-
 def slope_point(pq: Fraction, alphabet: Alphabet) -> SlopePoint:
     """Evaluate f and x at a rational slope from the exact Christoffel trace.
 
@@ -215,7 +211,8 @@ def slope_point(pq: Fraction, alphabet: Alphabet) -> SlopePoint:
     (words.christoffel_trace), so its cost grows with log q, not with q.
     """
     pq = Fraction(pq)
-    return _point(pq, christoffel_trace(pq, alphabet))
+    t = christoffel_trace(pq, alphabet)
+    return SlopePoint(pq, *_f_x(pq.numerator, pq.denominator, t), t)
 
 
 def farey_count(qmax: int) -> int:
@@ -292,18 +289,14 @@ def tail_spread(alphabet: Alphabet) -> float:
 
 
 def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> LevyResult:
-    """f at an irrational slope, evaluated at its k-th convergent (see f_convergent)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return f_convergent(*slope.convergent(k), alphabet)
-
-
-def f_convergent(p: int, q: int, alphabet: Alphabet) -> LevyResult:
-    """f(p/q) for a convergent p/q of an irrational slope theta.
+    """f at an irrational slope theta, evaluated at its k-th convergent p/q.
 
     The returned error_bound 5*G/q (G the per-alphabet tail spread) is a
     rigorous bound on |f(theta) - f(p/q)|.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    p, q = slope.convergent(k)
     sp = slope_point(Fraction(p, q), alphabet)
     return LevyResult(sp.f_value, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL)
 
@@ -435,17 +428,15 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     f0, f1 = letter_levy(alphabet.a), letter_levy(alphabet.b)
     if not f0 <= target <= f1:
         raise TargetOutOfRangeError(target, f0, f1)
-    if target == f0:
-        z = Fraction(0)
-        return InvertResult(z, z, z, f0, f0, fraction_cf(z), True, 0)
-    if target == f1:
-        o = Fraction(1)
-        return InvertResult(o, o, o, f1, f1, fraction_cf(o), True, 0)
-    p_lo, q_lo, p_hi, q_hi = 0, 1, 1, 1
-    t_lo, t_hi, t_diff = alphabet.a, alphabet.b, 2
-    f_lo, f_hi = f0, f1
+    ends = [(0, 1, alphabet.a, f0), (1, 1, alphabet.b, f1)]  # (p, q, t, f) of the lower and the upper end
+    if target in (f0, f1):
+        p, q, _, f = ends[target == f1]
+        end = Fraction(p, q)
+        return InvertResult(end, end, end, f, f, fraction_cf(end), True, 0)
+    t_diff = 2
     steps = run = 0  # run: consecutive moves of the lower end (> 0) or of the upper end (< 0)
-    while f_hi - f_lo >= tol:
+    while ends[1][3] - ends[0][3] >= tol:
+        (p_lo, q_lo, t_lo, _), (p_hi, q_hi, t_hi, _) = ends
         if steps >= max_steps:
             raise NoConvergenceError(f"no enclosure of width {tol} within {max_steps} steps")
         if t_lo.bit_length() + t_hi.bit_length() > INVERT_TRACE_BITS:
@@ -459,46 +450,37 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
         if f_med == target:
             med = Fraction(p, q)
             return InvertResult(med, med, med, f_med, f_med, fraction_cf(med), True, steps)
-        if f_med < target:
-            p_lo, q_lo, t_lo, t_diff, f_lo = p, q, t, t_lo, f_med
-            run = run + 1 if run > 0 else 1
-            if run == _GALLOP_RUN and t_hi.bit_length() <= _GALLOP_END_BITS:
-                margin = _GALLOP_MARGIN * f_hi
-                d, t_lo, t_diff, f_d = _run_jump(t_hi, q_hi, t_lo, t_diff, q_lo, max_steps - steps,
-                                                 lambda f: target - f > margin and f_hi - f >= tol + margin)
-                if d:
-                    p_lo, q_lo, f_lo, steps = p_lo + d * p_hi, q_lo + d * q_hi, f_d, steps + d
-        else:
-            p_hi, q_hi, t_hi, t_diff, f_hi = p, q, t, t_hi, f_med
-            run = run - 1 if run < 0 else -1
-            if run == -_GALLOP_RUN and t_lo.bit_length() <= _GALLOP_END_BITS:
-                margin = _GALLOP_MARGIN * f_hi
-                d, t_hi, t_diff, f_d = _run_jump(t_lo, q_lo, t_hi, t_diff, q_hi, max_steps - steps,
-                                                 lambda f: f - target > margin and f - f_lo >= tol + margin)
-                if d:
-                    p_hi, q_hi, f_hi, steps = p_hi + d * p_lo, q_hi + d * q_lo, f_d, steps + d
+        # the end on the mediant's side of the target moves to it: sign is +1 for the lower end, -1 for the upper
+        side = f_med > target
+        sign = -1 if side else 1
+        p_fix, q_fix, t_fix, f_fix = ends[not side]
+        t_diff, ends[side] = ends[side][2], (p, q, t, f_med)
+        run = run + sign if run * sign > 0 else sign
+        if run == sign * _GALLOP_RUN and t_fix.bit_length() <= _GALLOP_END_BITS:
+            # the loop's side and width tests for the moving end, bit for bit: negation is exact
+            margin = _GALLOP_MARGIN * ends[1][3]
+            d, t, t_diff, f_d = _run_jump(t_fix, q_fix, t, t_diff, q, max_steps - steps,
+                                          lambda f: sign * (target - f) > margin and sign * (f_fix - f) >= tol + margin)
+            if d:
+                ends[side], steps = (p + d * p_fix, q + d * q_fix, t, f_d), steps + d
+    (p_lo, q_lo, _, f_lo), (p_hi, q_hi, _, f_hi) = ends
     med = Fraction(p_lo + p_hi, q_lo + q_hi)
     return InvertResult(Fraction(p_lo, q_lo), Fraction(p_hi, q_hi), med, f_lo, f_hi, fraction_cf(med), False, steps)
 
 
 def _chunks(letters, count: int, keep: int):
     # Yield (array, kept) over the first count letters of a float64 array or of any iterable: kept (<= keep)
-    # letters of the last array, then max(CHUNK, 2 keep) new ones. A short source fails after its letters.
+    # letters of the last array, then max(CHUNK, 2 keep) new ones. A short source fails after its letters,
+    # and a letter below 1 or NaN fails with its piece.
     step, filled, arr = max(_kernels.CHUNK, 2 * keep), 0, np.empty(0)
     it = None if isinstance(letters, np.ndarray) else iter(letters)
     while filled < count:
         want = min(step, count - filled)
-        if it is None:
-            piece = letters[filled : filled + want]
-            got = piece.shape[0]
-        else:
-            # read with a count, so numpy allocates each piece once; a short source pads it with NaN
-            piece = np.fromiter(itertools.chain(itertools.islice(it, want), itertools.repeat(math.nan)), np.float64, want)
-            got = int(np.isnan(piece).argmax()) if math.isnan(piece[-1]) else want
-        if (piece < 1).any():
+        piece = letters[filled : filled + want] if it is None else np.fromiter(itertools.islice(it, want), np.float64)
+        if not (piece >= 1).all():
             raise InvalidWordError("letters must be >= 1")
-        if got < want:
-            raise TruncatedStreamError(f"need {count} letters, got {filled + got}")
+        if piece.shape[0] < want:
+            raise TruncatedStreamError(f"need {count} letters, got {filled + piece.shape[0]}")
         filled += want
         arr = np.concatenate((arr[max(0, arr.shape[0] - keep) :], piece))
         yield arr, arr.shape[0] - piece.shape[0]
@@ -544,10 +526,10 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     letters is a float64 array or any iterable, sized or endless; only this
     function decides how many are read.  "logq" returns (log Q_n)/n from n
     letters.  "birkhoff" averages the log of depth-limited continued-fraction
-    tails over n window starts, from n + tail_depth letters.  period=s means the source is purely
-    s-periodic, sized or endless: its first s letters are read once and tiled,
-    and n enters only through min and divmod, so the cost is that of one
-    period for any n.  "logq" then returns the geometrically converging
+    tails over n window starts, from the n + tail_depth - 1 letters they
+    cover.  period=s means the source is purely s-periodic, sized or endless:
+    its first s letters are read once and tiled, and n enters only through
+    min and divmod, so the cost is that of one period for any n.  "logq" then returns the geometrically converging
     difference form (log Q_{n+s} - log Q_n)/s from the s ratios after
     m = min(n, DEPTH - 1), whose windows cover each residue mod s once, as the
     windows after n do: the same bits, O(s * DEPTH) work.  "birkhoff" sweeps
@@ -571,7 +553,7 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
             m = min(n, _kernels.DEPTH - 1)
             return LevyResult(_kernels.logq_scan(np.resize(word, m + period), m) / period, 1e-12, METHOD_LOGQ)
         windows = min(n, period)
-        tiled = np.resize(word, windows + tail_depth)
+        tiled = np.resize(word, windows + tail_depth - 1)
         logs = np.log(_kernels.birkhoff_tails(tiled, windows, tail_depth))
         k, r = divmod(n, period)
         value = _mean(k * _exact_sum(logs) + _exact_sum(logs[:r]), n)
@@ -584,10 +566,11 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         extremes = []
 
         def logs():
-            # each window start is swept once, in the first array with its letters and one more
-            for arr, _ in _chunks(letters, n + tail_depth, tail_depth):
+            # each window start is swept once, in the first array with all its letters: an array keeps the
+            # tail_depth - 1 letters that two windows overlap in, as logq keeps DEPTH - 1
+            for arr, _ in _chunks(letters, n + tail_depth - 1, tail_depth - 1):
                 extremes.extend((arr.min(), arr.max()))
-                tails = _kernels.birkhoff_tails(arr, arr.shape[0] - tail_depth, tail_depth)
+                tails = _kernels.birkhoff_tails(arr, arr.shape[0] - tail_depth + 1, tail_depth)
                 yield np.log(tails, out=tails)
 
         value = math.fsum(itertools.chain.from_iterable(logs())) / n
@@ -595,8 +578,8 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     return _birkhoff_result(value, amin, amax, n, tail_depth)
 
 
-def _ostrowski_prefix(slope: SlopeCF, length: int, need: int, alphabet: Alphabet, leaf):
-    """The first `length` letters of s_{theta,0} = a c_theta as a monoid element, and the largest of the first `need`.
+def _ostrowski_prefix(slope: SlopeCF, length: int, alphabet: Alphabet, leaf):
+    """The first `length` letters of s_{theta,0} = a c_theta as a monoid element, and the largest of them.
 
     Write length - 1 greedily as sum b_k q_k with q_k = |M_k|.  The prefix of
     c_theta of that length is then M_K^{b_K} ... M_1^{b_1} M_0^{b_0} (T. C. Brown,
@@ -604,19 +587,19 @@ def _ostrowski_prefix(slope: SlopeCF, length: int, need: int, alphabet: Alphabet
     the M_k^{b_k}, folded from the left with the monoid's @ and **, with no
     letter generated: O(sum log d_k + log length) products.  leaf maps a
     letter to its monoid element.  The largest letter and the digits asked for
-    are those of reading the first need letters of sturmian_letters: d_1..d_K
-    with q_K >= need - 1, so a short digit list raises the same
+    are those of reading the first length letters of sturmian_letters: d_1..d_K
+    with q_K >= length - 1, so a short digit list raises the same
     InsufficientDigitsError.  Only the M_k that the sum uses are built.
     """
-    # s_{theta,0} = a a^{d_1} b ...: b is among the first need letters iff need - 1 > d_1.  An unread b would enter
+    # s_{theta,0} = a a^{d_1} b ...: b is among the first length letters iff length - 1 > d_1.  An unread b would enter
     # only through M_1, which the prefix then does not use, so a stands in for it.  The leaves come before any
     # digit past d_1, so a letter past float range that is read fails first, as it does on the letter route.
-    amax = alphabet.b if need - 1 > slope.digit(1) else alphabet.a
+    amax = alphabet.b if length - 1 > slope.digit(1) else alphabet.a
     m_a, m_b = leaf(alphabet.a), leaf(amax)
     lengths = []
     for _, _, q in slope.convergents():
         lengths.append(q)
-        if q >= need - 1:
+        if q >= length - 1:
             break
     rest, counts = length - 1, []
     for q in reversed(lengths):
@@ -649,7 +632,7 @@ def sturmian_logq(slope: SlopeCF, n: int, alphabet: Alphabet) -> LevyResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    prod, amax = _ostrowski_prefix(slope, n, n, alphabet, _cf_leaf)
+    prod, amax = _ostrowski_prefix(slope, n, alphabet, _cf_leaf)
     return LevyResult(prod.log_e11 / n, _heuristic_bias(amax, n), METHOD_LOGQ)
 
 
@@ -700,14 +683,13 @@ def sturmian_birkhoff(slope: SlopeCF, n: int, alphabet: Alphabet, tail_depth: in
     which _ostrowski_prefix folds in the _WindowSums monoid, at a cost of
     O(tail_depth^2 (sum log d_k + log n)) whatever n is.  The value is
     float(exact sum) / n, the two roundings of the letter route, and the
-    digits asked for and the extremes behind error_bound are those of its
-    n + tail_depth letters.
+    digits asked for and the extremes behind error_bound are those of the
+    same letters, which that route reads.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_tail_depth(tail_depth)
-    length = n + tail_depth - 1
-    prod, amax = _ostrowski_prefix(slope, length, length + 1, alphabet,
+    prod, amax = _ostrowski_prefix(slope, n + tail_depth - 1, alphabet,
                                    lambda x: _WindowSums.of(np.array([x], dtype=np.float64), tail_depth))
     return _birkhoff_result(_mean(prod.total, n), alphabet.a, amax, n, tail_depth)
 

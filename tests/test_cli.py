@@ -479,6 +479,26 @@ class TestEstimate:
         assert main(argv + ["--word", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["results"] == record
 
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_birkhoff_word_file_of_the_letters_its_windows_cover(self, tmp_path, capsys, n):
+        # n depth-40 windows cover letters 1..n + 39: a file of exactly those is read whole, one letter fewer exits 4
+        rng = random.Random(n)
+        letters = [rng.choice((1, 2, 5)) for _ in range(n + 39)]
+        logs = []
+        for i in range(n):
+            t = float(letters[i + 39])
+            for j in range(i + 38, i - 1, -1):
+                t = letters[j] + 1.0 / t
+            logs.append(math.log(t))
+        path = tmp_path / "letters.txt"
+        argv = ["estimate", "--word", str(path), "-n", str(n), "--method", "birkhoff", "-a", "1", "-b", "5"]
+        path.write_text(",".join(map(str, letters)) + "\n")
+        assert main(argv) == 0
+        assert abs(json.loads(capsys.readouterr().out)["results"]["value"] - math.fsum(logs) / n) < 1e-12
+        path.write_text(",".join(map(str, letters[:-1])) + "\n")
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: need {n + 39} letters, got {n + 38}"]
+
     def test_tail_depth_checked_before_the_word_file(self, tmp_path, capsys):
         argv = ["estimate", "--word", str(tmp_path / "absent.txt"), "-n", "10", "-a", "1", "-b", "2"]
         assert main(argv + ["--method", "birkhoff", "--tail-depth", "2049"]) == 2

@@ -714,10 +714,22 @@ class TestLevyEmpirical:
         for n in (100, _kernels.CHUNK + 10):
             with pytest.raises(TruncatedStreamError, match=f"^need {n} letters, got {n - 1}$"):
                 levy_empirical(iter([1] * (n - 1)), n)
-            with pytest.raises(TruncatedStreamError, match=f"^need {n + 40} letters, got {n + 39}$"):
-                levy_empirical(itertools.islice(itertools.cycle((1, 2)), n + 39), n, method="birkhoff")
+            with pytest.raises(TruncatedStreamError, match=f"^need {n + 39} letters, got {n + 38}$"):
+                levy_empirical(itertools.islice(itertools.cycle((1, 2)), n + 38), n, method="birkhoff")
         with pytest.raises(TruncatedStreamError, match="^need 3 letters, got 2$"):
             levy_empirical(iter([1, 2]), 10**6, period=3)
+
+    @pytest.mark.parametrize("period", [None, 3])
+    @pytest.mark.parametrize("method", ["logq", "birkhoff"])
+    @pytest.mark.parametrize("source", [np.array, iter], ids=["array", "iterator"])
+    @pytest.mark.parametrize("at", range(3))
+    def test_nan_letter(self, at, source, method, period):
+        # a NaN letter fails as a letter below 1 does, wherever it sits: it is neither an int nor the end of the source
+        letters = [1.0, 2.0, 1.0]
+        letters[at] = math.nan
+        n = 3 if method == "logq" else 1
+        with pytest.raises(InvalidWordError, match="^letters must be >= 1$"):
+            levy_empirical(source(letters), n, method=method, tail_depth=3, period=period)
 
     def test_bad_letter_before_short_source(self):
         # letters are checked piece by piece, so a bad letter fails before the end of the source
@@ -879,9 +891,9 @@ class TestSturmianBirkhoff:
     @given(digits=st.lists(st.integers(1, 12), min_size=1, max_size=6), extra=st.integers(0, 1),
            depth=st.sampled_from([2, 3, 5, 40, 57]))
     def test_short_digit_list_boundary(self, digits, extra, depth):
-        # d_1..d_k fix q_k + 1 letters of s_{theta,0}; the n + depth letters read need d_{k+1} iff n + depth - 1 > q_k
+        # d_1..d_k fix q_k + 1 letters of s_{theta,0}; the n + depth - 1 letters read need d_{k+1} iff n + depth - 2 > q_k
         slope = SlopeCF(tuple(digits))
-        n = slope.convergent(len(digits))[1] - depth + 1 + extra
+        n = slope.convergent(len(digits))[1] - depth + 2 + extra
         assume(n >= 1)
         outcomes = [_result_or_message(route, InsufficientDigitsError) for route in _birkhoff_routes(slope, n, AB, depth)]
         assert outcomes[0] == outcomes[1]
@@ -890,12 +902,12 @@ class TestSturmianBirkhoff:
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 40])
     @pytest.mark.parametrize("huge", ["a", "b"])
     def test_letter_past_float_range(self, n, huge):
-        # s_{theta,0} = a a^5 b ...: the n + 3 letters read hold b from n = 4 on, a at once
+        # s_{theta,0} = a a^5 b ...: the n + 2 letters read hold b from n = 5 on, a at once
         ab = Alphabet(10**400, 10**400 + 1) if huge == "a" else Alphabet(1, 10**400)
         slope = SlopeCF((5,), repeat=(1,))
         outcomes = [_result_or_message(route, OverflowError) for route in _birkhoff_routes(slope, n, ab, 3)]
         assert outcomes[0] == outcomes[1]
-        assert isinstance(outcomes[0], str) == (huge == "a" or n >= 4)
+        assert isinstance(outcomes[0], str) == (huge == "a" or n >= 5)
 
     def test_deep_windows_over_few_letters(self):
         # the case the letter route used to serve: ten windows of the deepest tail_depth

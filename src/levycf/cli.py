@@ -179,8 +179,7 @@ def cmd_slope(args, alphabet):
     depth = 20 if args.depth is None else args.depth
     if depth < 1:
         raise InvalidWordError("--depth must be >= 1")
-    p_k, q_k = slope.convergent(depth)
-    res = f_irrational(slope, depth, alphabet)
+    res, p_k, q_k = f_irrational(slope, depth, alphabet)
     return {"cf": list(digits), "repeat": list(repeat), "depth": depth}, {
         "p_k": p_k,
         "q_k": q_k,

@@ -81,7 +81,7 @@ class ScaledMat2(NamedTuple):
 
     @property
     def log_e11(self) -> float:
-        return math.fsum((self.exponent * _LN2_HI, self.exponent * _LN2_LO, math.log(self.mantissa.e11)))
+        return log_scaled(self.exponent, self.mantissa.e11)
 
     def __matmul__(self, other: "ScaledMat2") -> "ScaledMat2":
         p = ScaledMat2.of(self.mantissa @ other.mantissa)
@@ -92,6 +92,16 @@ class ScaledMat2(NamedTuple):
 
 
 SCALED_IDENTITY = ScaledMat2(Mat2(1.0, 0.0, 0.0, 1.0), 0)
+
+
+def log_scaled(exponent: int, *mantissas: float) -> float:
+    """log(2**exponent * m_1 * ... * m_k) for positive float mantissas.
+
+    exponent * log 2 and the log of each mantissa are summed with one
+    rounding.  log 2 enters in two parts, and the product with the first is
+    exact for |exponent| < 2^36.
+    """
+    return math.fsum((exponent * _LN2_HI, exponent * _LN2_LO, *map(math.log, mantissas)))
 
 
 def _power(m, n: int, identity):

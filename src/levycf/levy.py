@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .continuants import Mat2, ScaledMat2, Word, _power, as_word, log_big, mediant_trace, trace
+from .continuants import Mat2, ScaledMat2, Word, _power, as_word, log_big, log_scaled, mediant_trace, trace
 from .errors import (
     InvalidWordError,
     NoConvergenceError,
@@ -62,6 +62,10 @@ CURVE_STACK_BITS = 2**28
 # O(tail_depth) numpy steps per batch of windows.  At 2048 the slowest, a Sturmian slope at n = 10^18, takes
 # about 1.2 s as a child process on a 2-core VM.
 TAIL_DEPTH_MAX = 2048
+# Where the periodic difference form starts.  r_k = a_k + 1/r_{k-1} forgets r_0 at least by half per letter
+# (a relative change d in r_{k-1} moves r_k by d/(r_{k-1} r_k) <= d/2), so past 64 letters the ratios of a
+# periodic word repeat to 2^-64 and Q_{m+s}/Q_m is the same at every m >= 64 to below one rounding.
+PERIODIC_LOGQ_START = 64
 
 
 @dataclass(frozen=True)
@@ -288,17 +292,18 @@ def tail_spread(alphabet: Alphabet) -> float:
         return float((b - a) * (1 + 2 / (ab + (ab * (ab + 4)).sqrt())))
 
 
-def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> LevyResult:
-    """f at an irrational slope theta, evaluated at its k-th convergent p/q.
+def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> tuple:
+    """f at an irrational slope theta, evaluated at its k-th convergent p/q: (LevyResult, p, q).
 
-    The returned error_bound 5*G/q (G the per-alphabet tail spread) is a
-    rigorous bound on |f(theta) - f(p/q)|.
+    The result's error_bound 5*G/q (G the per-alphabet tail spread) is a
+    rigorous bound on |f(theta) - f(p/q)|.  p and q are returned so that a
+    caller that reports the convergent reads the one the value came from.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     p, q = slope.convergent(k)
     sp = slope_point(Fraction(p, q), alphabet)
-    return LevyResult(sp.f_value, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL)
+    return LevyResult(sp.f_value, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL), p, q
 
 
 @dataclass(frozen=True)
@@ -469,8 +474,8 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 
 
 def _chunks(letters, count: int, keep: int):
-    # Yield (array, kept) over the first count letters of a float64 array or of any iterable: kept (<= keep)
-    # letters of the last array, then max(CHUNK, 2 keep) new ones. A short source fails after its letters,
+    # Yield arrays over the first count letters of a float64 array or of any iterable: the last keep (or fewer)
+    # letters of the array before, then max(CHUNK, 2 keep) new ones. A short source fails after its letters,
     # and a letter below 1 or NaN fails with its piece.
     step, filled, arr = max(_kernels.CHUNK, 2 * keep), 0, np.empty(0)
     it = None if isinstance(letters, np.ndarray) else iter(letters)
@@ -482,8 +487,8 @@ def _chunks(letters, count: int, keep: int):
         if piece.shape[0] < want:
             raise TruncatedStreamError(f"need {count} letters, got {filled + piece.shape[0]}")
         filled += want
-        arr = np.concatenate((arr[max(0, arr.shape[0] - keep) :], piece))
-        yield arr, arr.shape[0] - piece.shape[0]
+        arr = np.concatenate((arr[max(0, arr.shape[0] - keep) :], piece)) if keep else piece
+        yield arr
 
 
 def _check_tail_depth(tail_depth: int) -> None:
@@ -525,14 +530,18 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
 
     letters is a float64 array or any iterable, sized or endless; only this
     function decides how many are read.  "logq" returns (log Q_n)/n from n
-    letters.  "birkhoff" averages the log of depth-limited continued-fraction
-    tails over n window starts, from the n + tail_depth - 1 letters they
-    cover.  period=s means the source is purely s-periodic, sized or endless:
-    its first s letters are read once and tiled, and n enters only through
-    min and divmod, so the cost is that of one period for any n.  "logq" then returns the geometrically converging
-    difference form (log Q_{n+s} - log Q_n)/s from the s ratios after
-    m = min(n, DEPTH - 1), whose windows cover each residue mod s once, as the
-    windows after n do: the same bits, O(s * DEPTH) work.  "birkhoff" sweeps
+    letters: _kernels.logq_scan multiplies cf_matrix over each array of them,
+    the ratio Q_k/Q_{k-1} carries from one array to the next, and log Q_n is
+    read once from the summed exponents and the mantissas.  "birkhoff"
+    averages the log of depth-limited continued-fraction tails over n window
+    starts, from the n + tail_depth - 1 letters they cover.  period=s means
+    the source is purely s-periodic, sized or endless: its first s letters are
+    read once and tiled, and n enters only through min and divmod, so the cost
+    is that of one period for any n.  "logq" then returns the geometrically
+    converging difference form log(Q_{m+s}/Q_m)/s at m = min(n,
+    PERIODIC_LOGQ_START), the ratio read from the product over the s letters
+    after m and the carried Q_m/Q_{m-1}, with no difference of two logs of
+    size m: O(s) work, the same bits at every n >= m.  "birkhoff" sweeps
     the first min(n, s) windows; for n = k s + r their logs sum to k S_s + P_r,
     exact before its one rounding, so value, extremes and error_bound are bit
     for bit those of the sweep over all n windows (O(s * tail_depth) work).
@@ -548,10 +557,13 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     if method == "birkhoff":
         _check_tail_depth(tail_depth)
     if period is not None:
-        [(word, _)] = _chunks(letters, period, period)  # keep = period: one array of the whole period
+        [word] = _chunks(letters, period, period)  # keep = period: one array of the whole period
         if method == "logq":
-            m = min(n, _kernels.DEPTH - 1)
-            return LevyResult(_kernels.logq_scan(np.resize(word, m + period), m) / period, 1e-12, METHOD_LOGQ)
+            m = min(n, PERIODIC_LOGQ_START)
+            tiled = np.resize(word, m + period)
+            _, _, r = _kernels.logq_scan(tiled[:m])
+            e, q, _ = _kernels.logq_scan(tiled[m:], r)
+            return LevyResult(log_scaled(e, q) / period, 1e-12, METHOD_LOGQ)
         windows = min(n, period)
         tiled = np.resize(word, windows + tail_depth - 1)
         logs = np.log(_kernels.birkhoff_tails(tiled, windows, tail_depth))
@@ -559,19 +571,25 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
         value = _mean(k * _exact_sum(logs) + _exact_sum(logs[:r]), n)
         amin, amax = int(tiled.min()), int(tiled.max())
     elif method == "logq":
-        pieces = [(_kernels.logq_scan(arr, kept), arr.max()) for arr, kept in _chunks(letters, n, _kernels.DEPTH - 1)]
-        amax = int(max(top for _, top in pieces))
-        return LevyResult(math.fsum(s for s, _ in pieces) / n, _heuristic_bias(amax, n), METHOD_LOGQ)
+        e, mantissas, r, amax = 0, [], math.inf, 1
+        for arr in _chunks(letters, n, 0):
+            amax = max(amax, int(arr.max()))  # an inf letter raises OverflowError here, before the kernel
+            de, q, r = _kernels.logq_scan(arr, r)
+            e += de
+            mantissas.append(q)
+        return LevyResult(log_scaled(e, *mantissas) / n, _heuristic_bias(amax, n), METHOD_LOGQ)
     else:
         extremes = []
 
         def logs():
             # each window start is swept once, in the first array with all its letters: an array keeps the
-            # tail_depth - 1 letters that two windows overlap in, as logq keeps DEPTH - 1
-            for arr, _ in _chunks(letters, n + tail_depth - 1, tail_depth - 1):
+            # tail_depth - 1 letters that two windows overlap in
+            for arr in _chunks(letters, n + tail_depth - 1, tail_depth - 1):
                 extremes.extend((arr.min(), arr.max()))
                 tails = _kernels.birkhoff_tails(arr, arr.shape[0] - tail_depth + 1, tail_depth)
-                yield np.log(tails, out=tails)
+                logs = np.log(tails, out=tails)
+                # fsum reads Python floats, not a numpy scalar each, in slices that keep 4096 of them alive, not 2^16
+                yield from (logs[i : i + 4096].tolist() for i in range(0, logs.shape[0], 4096))
 
         value = math.fsum(itertools.chain.from_iterable(logs())) / n
         amin, amax = int(min(extremes)), int(max(extremes))

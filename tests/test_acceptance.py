@@ -149,7 +149,7 @@ def test_criterion_07_convergent_error_bound():
     g = tail_spread(AB12)
     values, qs = {}, {}
     for k in range(1, 22):
-        values[k] = f_irrational(GOLDEN, k, AB12).value
+        values[k] = f_irrational(GOLDEN, k, AB12)[0].value
         qs[k] = GOLDEN.convergent(k)[1]
     worst_margin = min(
         5 * g / qs[k] + 5 * g / qs[k + 1] - abs(values[k + 1] - values[k]) for k in range(1, 21)

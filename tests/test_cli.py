@@ -126,6 +126,17 @@ class TestSlope:
         assert q_k == 1597
         assert abs(record["results"]["error_bound"] - 5 * g / q_k) < 1e-12
 
+    def test_cf_record_reads_one_convergent(self, monkeypatch, capsys):
+        # p_k, q_k and f come from one computation of the k-th convergent
+        calls, convergent = [], SlopeCF.convergent
+        monkeypatch.setattr(SlopeCF, "convergent", lambda slope, k: calls.append(k) or convergent(slope, k))
+        assert main(["slope", "--cf", "2", "--repeat", "1,3", "--depth", "9", "-a", "1", "-b", "2"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert calls == [9]
+        assert (results["p_k"], results["q_k"]) == convergent(SlopeCF((2,), repeat=(1, 3)), 9)
+        f = slope_point(Fraction(results["p_k"], results["q_k"]), Alphabet(1, 2)).f_value
+        assert results["f"] == levycf.cli._f15(f)
+
     def test_cf_slope_with_huge_letter(self):
         # a*b*(a*b + 4) is past float range, though each letter is not
         record = run_json("slope", "--cf", "1", "--repeat", "1", "--depth", "5", "-a", "1", "-b", str(10**200))
@@ -551,7 +562,7 @@ class TestEstimate:
         assert record["results"]["value"] == 0.658478948462408
 
     def test_periodic_logq_past_2_63(self):
-        # n enters the periodic logq only through min(n, DEPTH - 1), so no index holds it
+        # n enters the periodic logq only through min(n, PERIODIC_LOGQ_START), so no index holds it
         record = run_json("estimate", "--periodic", "1,2", "-n", str(2**63), "-a", "1", "-b", "2")
         assert record["results"]["value"] == 0.658478948462408  # as at -n 9223372036854775000
 

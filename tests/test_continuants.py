@@ -21,13 +21,19 @@ from levycf import (
     trace,
 )
 from levycf._kernels import logq_scan
-from levycf.continuants import SCALED_IDENTITY
+from levycf.continuants import SCALED_IDENTITY, log_scaled
 from levycf.levy import tail_spread
 from levycf.words import Alphabet
 
 
 def random_word(rng, length, letters=(1, 2)):
     return tuple(rng.choice(letters) for _ in range(length))
+
+
+def logq(arr):
+    """log Q_n of the float64 letters a_1..a_n from the float kernel."""
+    e, m, _ = logq_scan(arr)
+    return log_scaled(e, m)
 
 
 def all_words(letters, length):
@@ -245,8 +251,8 @@ class TestLogQStream:
         # [0; 1, 1, 1, ...] has Q_n = F_{n+1}: 1, 2, 3, 5, 8
         ones = np.ones(5)
         for k, q in enumerate((1, 2, 3, 5, 8), start=1):
-            assert abs(logq_scan(ones[:k]) - math.log(q)) < 1e-15
-        assert logq_scan(ones[:1]) == 0.0  # Q_1/Q_0 = 1 exactly
+            assert abs(logq(ones[:k]) - math.log(q)) < 1e-15
+        assert logq(ones[:1]) == 0.0  # Q_1/Q_0 = 1 exactly
 
     def test_constant_letter_growth_rate(self):
         for a in (1, 2, 3):
@@ -261,17 +267,22 @@ class TestLogQStream:
             w = random_word(rng, 200, (a, b))
             arr = np.array(w, dtype=float)
             for k in range(1, 201):
-                assert abs(logq_scan(arr[:k]) - log_big(continuant(w[:k]))) < 1e-12
+                assert abs(logq(arr[:k]) - log_big(continuant(w[:k]))) < 1e-12
 
     def test_ratio_range(self):
-        # Q_k/Q_{k-1} = exp(log Q_k - log Q_{k-1}) lies in [1, 3], above 1 from k = 2
+        # Q_k/Q_{k-1}, as the ratio that one call hands the next and as 2^e m of the one letter a_k after
+        # it, lies in [1, 3], above 1 from k = 2
         w = [2, 1, 2, 2, 1, 1, 2] * 30
         arr = np.array(w, dtype=float)
+        r = math.inf
         for k in range(1, len(w) + 1):
-            ratio = math.exp(logq_scan(arr[:k], k - 1))
-            assert 1.0 <= ratio <= 3.0
+            e, m, r_next = logq_scan(arr[k - 1 : k], r)
+            assert abs(r_next - logq_scan(arr[:k])[2]) <= 2 * math.ulp(r_next)
+            r = r_next
+            assert abs(math.ldexp(m, e) - r) <= 2 * math.ulp(r)
+            assert 1.0 <= r <= 3.0
             if k >= 2:
-                assert ratio > 1.0
+                assert r > 1.0
 
     def test_truncated_stream(self):
         with pytest.raises(TruncatedStreamError):

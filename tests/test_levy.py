@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _exact import assert_close, exact_log_ratio, product
 from _farey import farey_neighbor_pairs
 from levycf import (
     Alphabet,
@@ -340,8 +341,9 @@ class TestFIrrational:
     def test_error_bound_formula(self):
         g = tail_spread(AB)
         for k in (1, 5, 12):
-            p, q = GOLDEN.convergent(k)
-            res = f_irrational(GOLDEN, k, AB)
+            res, p, q = f_irrational(GOLDEN, k, AB)
+            assert (p, q) == GOLDEN.convergent(k)
+            assert res.value == slope_point(Fraction(p, q), AB).f_value
             assert res.error_bound == 5.0 * g / q
             assert res.method == "irrational-slope-bounded"
 
@@ -350,13 +352,13 @@ class TestFIrrational:
         values = {}
         qs = {}
         for k in range(1, 22):
-            values[k] = f_irrational(GOLDEN, k, AB).value
+            values[k] = f_irrational(GOLDEN, k, AB)[0].value
             qs[k] = GOLDEN.convergent(k)[1]
         for k in range(1, 21):
             assert abs(values[k + 1] - values[k]) <= 5 * g / qs[k] + 5 * g / qs[k + 1]
 
     def test_alternating_sandwich(self):
-        vals = {k: f_irrational(GOLDEN, k, AB).value for k in range(1, 15)}
+        vals = {k: f_irrational(GOLDEN, k, AB)[0].value for k in range(1, 15)}
         evens = [vals[k] for k in range(2, 15, 2)]
         odds = [vals[k] for k in range(1, 15, 2)]
         assert all(a < b for a, b in zip(evens, evens[1:]))
@@ -629,35 +631,37 @@ class TestLevyEmpirical:
         assert abs(res.value - exact) < 1e-10
 
     def test_periodic_difference_form_reads_one_period(self):
-        # an endless periodic stream: the estimate reads one period, and the
-        # kernel sees the same letters as on the full n + period array
+        # an endless periodic stream: the estimate reads one period, and gives the exact
+        # log(Q_{n+2}/Q_n)/2 at n = 10^6, from powers of the period's matrix
         tracemalloc.start()
         try:
             res = levy_empirical(itertools.cycle((1, 2)), 10**6, method="logq", period=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        full = np.array((1, 2) * 500001, dtype=float)
-        assert res.value == _kernels.logq_scan(full, 10**6) / 2
+        power = cf_matrix((1, 2)) ** (10**6 // 2)
+        assert_close(res.value, exact_log_ratio((power @ cf_matrix((1, 2))).e11, power.e11) / 2)
         assert peak < 1_000_000  # the full array alone takes 8 MB
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(word=st.lists(st.integers(1, 9), min_size=1, max_size=120), n=st.integers(1, 5000),
            depth=st.integers(2, 60))
     def test_period_against_explicit_letters(self, word, n, depth):
-        # a sized source of exactly one period, tiled, against the letters written out
+        # a sized source of exactly one period, tiled, against the letters written out and the exact
+        # log(Q_{n+s}/Q_n)/s, which the value at min(n, PERIODIC_LOGQ_START) meets to 2^-64
         s = len(word)
         letters = list(itertools.islice(itertools.cycle(word), n + max(s, depth)))
         logq = levy_empirical(tuple(word), n, period=s)
-        assert logq.value == _kernels.logq_scan(np.array(letters[: n + s], dtype=float), n) / s
+        assert_close(logq.value, exact_log_ratio(product(letters[: n + s]).e11, product(letters[:n]).e11) / s)
         birk = levy_empirical(tuple(word), n, method="birkhoff", tail_depth=depth, period=s)
         assert birk == levy_empirical(letters, n, method="birkhoff", tail_depth=depth)
 
     def test_periodic_logq_past_2_63(self):
-        # n enters only through min(n, DEPTH - 1): every n from there on gives the same bits
+        # n enters only through min(n, PERIODIC_LOGQ_START): every n from there on gives the same bits
         word = (1, 2, 2, 5, 1)
-        ref = levy_empirical(word, _kernels.DEPTH - 1, period=5)
-        for n in (10**6, 2**63, 2**64 + 1):
+        start = levycf.levy.PERIODIC_LOGQ_START
+        ref = levy_empirical(word, start, period=5)
+        for n in (*range(start + 1, start + 11), 10**6, 2**63, 2**64 + 1):
             assert levy_empirical(itertools.cycle(word), n, period=5) == ref
 
     def test_periodic_birkhoff_sum_past_float_range(self):
@@ -670,6 +674,13 @@ class TestLevyEmpirical:
         n = 3 * _kernels.CHUNK + 5
         letters = sturmian_prefix(GOLDEN, n, AB)
         assert levy_empirical(iter(letters), n).value == levy_empirical(letters, n).value
+
+    @pytest.mark.parametrize("n", [_kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 2 * _kernels.CHUNK + 1])
+    def test_logq_across_chunks_matches_exact(self, n):
+        # Q_k/Q_{k-1} carries from one chunk to the next, with no letter read twice
+        rng = random.Random(n)
+        w = tuple(rng.choice((1, 2, 3, 40)) for _ in range(n))
+        assert_close(levy_empirical(iter(w), n).value, exact_log_ratio(product(w).e11, 1) / n)
 
     def test_periodic_difference_form_period_one(self):
         exact = letter_levy(1)
@@ -686,7 +697,7 @@ class TestLevyEmpirical:
         logq = levy_empirical(letters, 10**5, method="logq")
         birk = levy_empirical(letters, 10**5, method="birkhoff")
         assert abs(logq.value - birk.value) < 1e-3
-        ref = f_irrational(GOLDEN, 20, AB)
+        ref = f_irrational(GOLDEN, 20, AB)[0]
         assert abs(logq.value - ref.value) < 1e-3 + ref.error_bound
 
     def test_estimates_agree_within_budgets(self):
@@ -820,7 +831,7 @@ class TestSturmianLogq:
     def test_huge_n(self):
         # q_k grows geometrically, so n = 10^300 needs about 1400 golden digits
         res = sturmian_logq(GOLDEN, 10**300, AB)
-        ref = f_irrational(GOLDEN, 20, AB)
+        ref = f_irrational(GOLDEN, 20, AB)[0]
         assert abs(res.value - ref.value) <= ref.error_bound
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

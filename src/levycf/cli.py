@@ -28,6 +28,7 @@ from .errors import (
     InvalidWordError,
     NoConvergenceError,
     TargetOutOfRangeError,
+    TraceRangeError,
     TruncatedStreamError,
 )
 from .levy import (
@@ -179,7 +180,10 @@ def cmd_slope(args, alphabet):
     depth = 20 if args.depth is None else args.depth
     if depth < 1:
         raise InvalidWordError("--depth must be >= 1")
-    res, p_k, q_k = f_irrational(slope, depth, alphabet)
+    try:
+        res, p_k, q_k = f_irrational(slope, depth, alphabet)
+    except TraceRangeError as exc:
+        raise TraceRangeError(f"--depth {depth}: {exc}") from None
     return {"cf": list(digits), "repeat": list(repeat), "depth": depth}, {
         "p_k": p_k,
         "q_k": q_k,

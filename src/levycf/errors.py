@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: NoConvergenceError exits 1, usage
-problems exit 2 (argparse), TargetOutOfRangeError exits 3,
+problems (argparse) and TraceRangeError exit 2, TargetOutOfRangeError exits 3,
 TruncatedStreamError / InsufficientDigitsError exit 4.
 """
 
@@ -38,6 +38,10 @@ class TargetOutOfRangeError(ValueError):
         self.low = low
         self.high = high
         super().__init__(f"target {target} outside attainable interval [{low}, {high}]")
+
+
+class TraceRangeError(OverflowError):
+    """A convergent's denominator q, or its trace's bit count, is past float range: f = log T / q is no float."""
 
 
 class NoConvergenceError(RuntimeError):

@@ -25,11 +25,27 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .continuants import Mat2, ScaledMat2, Word, _power, as_word, log_big, log_scaled, mediant_trace, trace
+from .continuants import (
+    PLAIN_BITS,
+    BoundedInt,
+    Mat2,
+    ScaledMat2,
+    Word,
+    _power,
+    _Unsettled,
+    as_word,
+    log_big,
+    log_scaled,
+    mantissa_bits,
+    mediant_trace,
+    narrow,
+    trace,
+)
 from .errors import (
     InvalidWordError,
     NoConvergenceError,
     TargetOutOfRangeError,
+    TraceRangeError,
     TruncatedStreamError,
 )
 from .words import (
@@ -136,11 +152,12 @@ def levy_from_trace(t: int, s: int) -> float:
     """(1/s) log((t + sqrt(t^2 - (-1)^s 4)) / 2) for an exact integer trace.
 
     Stable for traces of any size: the log of t comes from log_big and the
-    sqrt enters only through the ratio 4/t^2.
+    sqrt enters only through the ratio 4/t^2.  t may be a BoundedInt, whose
+    log_big has the exact int's bits or raises _Unsettled.
     """
-    if s < 1 or t < 1:
-        raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
-    lt = log_big(t)
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
+    lt = log_big(t)  # a t below 1 raises ValueError here
     u4 = 4.0 * math.exp(-2.0 * lt)
     if s % 2 == 0:
         u4 = -u4
@@ -292,18 +309,56 @@ def tail_spread(alphabet: Alphabet) -> float:
         return float((b - a) * (1 + 2 / (ab + (ab * (ab + 4)).sqrt())))
 
 
+def _settled(compute, bits):
+    """compute(bits), on BoundedInt traces of that many bits, or compute(None), on exact ints, if a bound is not enough."""
+    try:
+        return compute(bits)
+    except _Unsettled:
+        return compute(None)
+
+
+def _check_float_range(n: int, what: str) -> None:
+    # f = log T / q reads q and the bit count of T as floats
+    try:
+        float(n)
+    except OverflowError:
+        message = f"{what} is past float range, about 2^{n.bit_length() - 1}, so f = log T / q is no float"
+        raise TraceRangeError(message) from None
+
+
 def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> tuple:
     """f at an irrational slope theta, evaluated at its k-th convergent p/q: (LevyResult, p, q).
 
     The result's error_bound 5*G/q (G the per-alphabet tail spread) is a
     rigorous bound on |f(theta) - f(p/q)|.  p and q are returned so that a
     caller that reports the convergent reads the one the value came from.
+    The trace T of p/q is not returned, and f = log T / q reads only its top
+    64 bits and its bit length.  So the Christoffel recursion runs on
+    BoundedInt entries of mantissa_bits(q) bits, about 128 + log2 q, and f
+    has the bits that slope_point gives from the exact trace.  The
+    recursion costs O(sum log d_k) products of that size, not products of
+    O(q)-bit ints: on the golden slope over {1, 2}, 0.4 ms at k = 33, where
+    the exact trace took 25 s, and 30 ms at k = 1000 (in process on a
+    2-core VM).  A trace that cannot pass max(P, PLAIN_BITS) bits (q times
+    the bit length of b + 1) is folded on exact ints, which cost less at that
+    size.  If the bound does not fix the bits read, the same
+    recursion reruns on exact ints.  q, and then the trace's bit count, must
+    be floats: past float range either raises TraceRangeError, q before any
+    trace is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     p, q = slope.convergent(k)
-    sp = slope_point(Fraction(p, q), alphabet)
-    return LevyResult(sp.f_value, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL), p, q
+    _check_float_range(q, f"the denominator q_{k}")
+
+    def f_value(bits):
+        t = christoffel_trace(Fraction(p, q), alphabet, bits)
+        _check_float_range(t.bit_length(), f"the trace's bit count at convergent {k}")
+        return _f_x(p, q, t)[0]
+
+    bits = mantissa_bits(q)
+    f = _settled(f_value, bits if q * (alphabet.b + 1).bit_length() > max(bits, PLAIN_BITS) else None)
+    return LevyResult(f, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL), p, q
 
 
 @dataclass(frozen=True)
@@ -337,10 +392,12 @@ class InvertResult:
 # with no jump and 0.051 at the parent; exact (30 requests, 226,308 steps) took the same time from the 4th
 # or the 8th, with 1,140 and 1,180 levy_from_trace calls.
 _GALLOP_RUN = 8
-# Only while the fixed end's trace fits in a word: each step of such a run is then a small-by-big multiply
-# plus log_big, O(J^2) for J nodes.  Past a word each step is already a Karatsuba multiply, and the squarings
-# cost more than they save: exact's `invert 0.7276946696970724 -a 1 -b 3 --tol 1.58e-10` took 24 ms in
-# process with this limit and 74 ms without it.
+# Only while the fixed end's trace fits in a word.  The run matrix is a BoundedInt, so its squarings no longer
+# cost Karatsuba multiplies of big exact ends, and jumping past this limit gives the same outputs (0 of 1,120
+# benchmark requests differ, seeds 1-5).  But a jump is some 100 BoundedInt operations of about 1 us each, and
+# the runs beside a fixed end past a word are short: without the limit the invert requests of seeds 1-5 took,
+# in process on a 2-core VM, 10.0-10.5 against 9.7-10.0 ms (sweep, 100 requests) and 8.2-8.6 against 7.6-8.0 ms
+# (exact, 30 requests) in 4 alternating pairs, slower in 4 of 4 and 3 of 4.
 _GALLOP_END_BITS = 64
 # A jump lands only on a node whose f lies at least this far, relative to f_hi, inside both of the loop's
 # tests.  levy_from_trace is within about 2^-51 relative of the exact f, which increases strictly with the
@@ -348,10 +405,12 @@ _GALLOP_END_BITS = 64
 _GALLOP_MARGIN = 2.0**-44
 
 
-# The largest trace invert_f may multiply toward, in bits, so that a --tol a few ulps wide ends instead of
-# running for minutes: each step past the budget costs seconds, and the next ones grow like Fibonacci
-# numbers in bits.  `invert 0.7 -a 1 -b 2 --tol 1e-14` peaks at 1.39e7 bits in 73 steps, 4-7 s on a 2-core
-# VM, and still ends inside the budget; the benchmark's exact requests stay far below it.
+# The largest trace invert_f may multiply toward, in bits, so that a --tol a few ulps wide ends: the traces grow
+# like Fibonacci numbers in bits, and a descent to a width of a few ulps never ends.  Traces past PLAIN_BITS are
+# BoundedInts, so each step costs the same small multiply whatever the budget; it bounds the denominators, and
+# with them mantissa_bits, and keeps the exact ints of a rerun bounded.  `invert 0.7 -a 1 -b 2 --tol 1e-14`
+# peaks at 1.39e7 bits in 73 steps and still ends inside the budget: 0.3 ms in process on a 2-core VM, where
+# exact ints took 8 s.  `--tol 3e-16` stops at the budget in 0.3 ms (7.6 s on exact ints).
 INVERT_TRACE_BITS = 2**24
 
 
@@ -425,6 +484,16 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     skipped node passes the loop's own float tests: the result, steps and
     step-cap error are those of the one-mediant loop, from O(log run)
     evaluations instead of one per node.
+
+    No trace is returned, and the loop reads of each trace only its bit
+    length and, through levy_from_trace, its top 64 bits.  So a trace past
+    PLAIN_BITS is held as a BoundedInt of P = mantissa_bits(2 *
+    INVERT_TRACE_BITS) bits, 154 at the default budget (a trace within the
+    budget has fewer than 2 * INVERT_TRACE_BITS letters), by
+    continuants.narrow, and the run matrix of a jump is seeded with one.
+    Each multiply then costs the same whatever the trace's size, and every
+    f, bit length, decision and step count is that of the exact ints.  If a
+    bound does not fix the bits read, the same descent reruns on exact ints.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -433,11 +502,17 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
     f0, f1 = letter_levy(alphabet.a), letter_levy(alphabet.b)
     if not f0 <= target <= f1:
         raise TargetOutOfRangeError(target, f0, f1)
-    ends = [(0, 1, alphabet.a, f0), (1, 1, alphabet.b, f1)]  # (p, q, t, f) of the lower and the upper end
+    ends = ((0, 1, alphabet.a, f0), (1, 1, alphabet.b, f1))  # (p, q, t, f) of the lower and the upper end
     if target in (f0, f1):
         p, q, _, f = ends[target == f1]
         end = Fraction(p, q)
         return InvertResult(end, end, end, f, f, fraction_cf(end), True, 0)
+    return _settled(lambda bits: _descend(target, tol, max_steps, ends, bits), mantissa_bits(2 * INVERT_TRACE_BITS))
+
+
+def _descend(target, tol, max_steps, ends, bits):
+    # invert_f's descent from the two ends, with each trace held as narrow(t, bits)
+    ends = [(p, q, narrow(t, bits), f) for p, q, t, f in ends]
     t_diff = 2
     steps = run = 0  # run: consecutive moves of the lower end (> 0) or of the upper end (< 0)
     while ends[1][3] - ends[0][3] >= tol:
@@ -449,7 +524,7 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
                 f"no enclosure of width {tol} within the trace budget of {INVERT_TRACE_BITS} bits ({steps} steps)"
             )
         p, q = p_lo + p_hi, q_lo + q_hi
-        t = mediant_trace(t_lo, t_hi, t_diff, min(q_lo, q_hi))
+        t = narrow(mediant_trace(t_lo, t_hi, t_diff, min(q_lo, q_hi)), bits)
         f_med = levy_from_trace(t, q)
         steps += 1
         if f_med == target:
@@ -464,9 +539,10 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
         if run == sign * _GALLOP_RUN and t_fix.bit_length() <= _GALLOP_END_BITS:
             # the loop's side and width tests for the moving end, bit for bit: negation is exact
             margin = _GALLOP_MARGIN * ends[1][3]
-            d, t, t_diff, f_d = _run_jump(t_fix, q_fix, t, t_diff, q, max_steps - steps,
+            d, t, t_diff, f_d = _run_jump(BoundedInt.of(t_fix, bits), q_fix, t, t_diff, q, max_steps - steps,
                                           lambda f: sign * (target - f) > margin and sign * (f_fix - f) >= tol + margin)
             if d:
+                t, t_diff = narrow(t, bits), narrow(t_diff, bits)
                 ends[side], steps = (p + d * p_fix, q + d * q_fix, t, f_d), steps + d
     (p_lo, q_lo, _, f_lo), (p_hi, q_hi, _, f_hi) = ends
     med = Fraction(p_lo + p_hi, q_lo + q_hi)
@@ -476,7 +552,7 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 def _chunks(letters, count: int, keep: int):
     # Yield arrays over the first count letters of a float64 array or of any iterable: the last keep (or fewer)
     # letters of the array before, then max(CHUNK, 2 keep) new ones. A short source fails after its letters,
-    # and a letter below 1 or NaN fails with its piece.
+    # and a letter below 1, NaN or infinite fails with its piece.
     step, filled, arr = max(_kernels.CHUNK, 2 * keep), 0, np.empty(0)
     it = None if isinstance(letters, np.ndarray) else iter(letters)
     while filled < count:
@@ -484,6 +560,8 @@ def _chunks(letters, count: int, keep: int):
         piece = letters[filled : filled + want] if it is None else np.fromiter(itertools.islice(it, want), np.float64)
         if not (piece >= 1).all():
             raise InvalidWordError("letters must be >= 1")
+        if not (piece < math.inf).all():
+            raise InvalidWordError("letters must be finite")
         if piece.shape[0] < want:
             raise TruncatedStreamError(f"need {count} letters, got {filled + piece.shape[0]}")
         filled += want
@@ -573,7 +651,7 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     elif method == "logq":
         e, mantissas, r, amax = 0, [], math.inf, 1
         for arr in _chunks(letters, n, 0):
-            amax = max(amax, int(arr.max()))  # an inf letter raises OverflowError here, before the kernel
+            amax = max(amax, int(arr.max()))
             de, q, r = _kernels.logq_scan(arr, r)
             e += de
             mantissas.append(q)

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .continuants import Mat2, Word, as_word, continuant
+from .continuants import BoundedInt, Mat2, Word, as_word, continuant
 from .errors import (
     FloorPrecisionError,
     InsufficientDigitsError,
@@ -286,15 +286,17 @@ def fraction_cf(pq: Fraction) -> tuple:
     return tuple(digits)
 
 
-def christoffel_trace(pq: Fraction, alphabet: Alphabet) -> int:
+def christoffel_trace(pq: Fraction, alphabet: Alphabet, bits=None):
     """Trace of the Christoffel word of p/q, computed without building the word.
 
     With p/q = [0; c_1, ..., c_n], d_1 = c_1 - 1 and d_k = c_k after that,
     the standard word M_n is a conjugate of w_{p/q}, so it has the same trace.
     standard_sequence runs on Mat2, where the powers by repeated squaring
-    cost about sum(log2 d_k) big 2x2 products.
+    cost about sum(log2 d_k) big 2x2 products.  With bits set, the letter
+    matrices are seeded with BoundedInt entries, so every product holds
+    `bits` bits and the trace is a BoundedInt; the default is the exact int.
     """
-    m_b, m_a = Mat2(alphabet.b, 1, 1, 0), Mat2(alphabet.a, 1, 1, 0)
+    m_b, m_a = (Mat2(*(BoundedInt.of(e, bits) for e in (x, 1, 1, 0))) for x in (alphabet.b, alphabet.a))
     return _christoffel_conjugate(pq, m_b, m_a, operator.pow, operator.matmul).trace
 
 

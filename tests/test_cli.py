@@ -126,6 +126,23 @@ class TestSlope:
         assert q_k == 1597
         assert abs(record["results"]["error_bound"] - 5 * g / q_k) < 1e-12
 
+    def test_cf_depth_past_float_range_exits_2(self, capsys):
+        # q_k, or the trace's bit count, past float range: f = log T / q is no float, and the exact trace never ended
+        bit_count = "the trace's bit count at convergent 1470"
+        for argv, what in ((["--depth", "1500", "-a", "1", "-b", "2"], "the denominator q_1500"),
+                           (["--depth", "1470", "-a", "1000", "-b", "1001"], bit_count)):
+            assert main(["slope", "--cf", "1", "--repeat", "1", *argv]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            [line] = out.err.splitlines()
+            assert line.startswith(f"error: --depth {argv[1]}: {what} is past float range")
+
+    def test_cf_depth_1000(self, capsys):
+        # a trace of about 10^209 letters, read from BoundedInts of 128 + 695 bits
+        assert main(["slope", "--cf", "1", "--repeat", "1", "--depth", "1000", "-a", "1", "-b", "2"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["f"] == 0.621702332555042 and results["q_k"].bit_length() == 695
+
     def test_cf_record_reads_one_convergent(self, monkeypatch, capsys):
         # p_k, q_k and f come from one computation of the k-th convergent
         calls, convergent = [], SlopeCF.convergent

@@ -4,6 +4,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levycf import (
     IDENTITY,
@@ -21,7 +23,7 @@ from levycf import (
     trace,
 )
 from levycf._kernels import logq_scan
-from levycf.continuants import SCALED_IDENTITY, log_scaled
+from levycf.continuants import PLAIN_BITS, SCALED_IDENTITY, BoundedInt, _Unsettled, log_scaled, narrow
 from levycf.levy import tail_spread
 from levycf.words import Alphabet
 
@@ -242,6 +244,103 @@ class TestLogBig:
             log_big(0)
         with pytest.raises(ValueError):
             log_big(-5)
+
+
+def _check_bound(b, exact):
+    """b holds the int exact: equal if a plain int, else within its bound, with every read it settles exact."""
+    if type(b) is int:
+        assert b == exact
+        return 0
+    assert abs(exact - (b.m << b.s)) <= b.err << b.s
+    assert abs(b.m).bit_length() <= b.bits + 1
+    settled = 0
+    try:
+        assert b.bit_length() == exact.bit_length()
+        settled += 1
+    except _Unsettled:
+        pass
+    try:
+        top, shift = b.top(64)
+    except _Unsettled:
+        pass
+    except ValueError:
+        assert exact < 1
+    else:
+        assert exact >= 1 and shift == max(0, exact.bit_length() - 64) and top == exact >> shift
+        assert log_big(b) == log_big(exact)
+        settled += 1
+    return settled
+
+
+class TestBoundedInt:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bits=st.integers(4, 200), seed=st.integers(0, 2**32), a=st.integers(1, 10**6), gap=st.integers(1, 10**6))
+    def test_bound_holds_over_mediants_and_signed_run_powers(self, bits, seed, a, gap):
+        # A Stern-Brocot descent from [a, a + gap] on exact ints and on BoundedInts side by side, with a power
+        # of the run matrix [[t, sigma], [1, 0]] (sigma = +-1) of the fixed end applied to the moving pair at
+        # random, until the exact traces pass 20,000 bits
+        rng = random.Random(seed)
+        exact = [a, a + gap, 2, 1, 1]  # t_lo, t_hi, t_diff, q_lo, q_hi
+        held = [BoundedInt.of(a, bits), BoundedInt.of(a + gap, bits), 2]
+        settled = 0
+        for _ in range(rng.randint(1, 60)):
+            q_small = min(exact[3], exact[4])
+            t = mediant_trace(*exact[:3], q_small)
+            t_held = mediant_trace(*held, q_small)
+            settled += _check_bound(t_held, t)
+            if t.bit_length() > 20000:
+                break
+            side = rng.random() < 0.5  # False moves the lower end, True the upper
+            exact[2], exact[side], held[2], held[side] = exact[side], t, held[side], t_held
+            exact[3 + side] = exact[3] + exact[4]
+            if rng.random() < 0.3:
+                sigma, n = rng.choice((1, -1)), rng.randrange(0, 40)
+                fix = not side
+                r, r_held = Mat2(exact[fix], sigma, 1, 0) ** n, Mat2(held[fix], sigma, 1, 0) ** n
+                for e, e_held in zip(r, r_held):
+                    settled += _check_bound(e_held, e)
+                x, y = exact[side], exact[2]
+                x_held, y_held = held[side], held[2]
+                for e, e_held in ((r.e11 * x + r.e12 * y, r_held.e11 * x_held + r_held.e12 * y_held),
+                                  (r.e21 * x - r.e22 * y, r_held.e21 * x_held - r_held.e22 * y_held),
+                                  (r.trace, r_held.trace)):
+                    settled += _check_bound(e_held, e)
+        if bits >= 128:
+            assert settled  # at this width the bound fixes the reads
+
+    def test_plain_int_operands_and_signs(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            bits = rng.randint(2, 80)
+            x, y = (rng.choice((1, -1)) * rng.getrandbits(rng.randint(0, 300)) for _ in range(2))
+            bx, by = BoundedInt.of(x, bits), BoundedInt.of(y, bits)
+            for exact, held in ((x * y, bx * by), (x * y, x * by), (x + y, bx + y), (x + y, bx + by), (x - y, x - by),
+                                (y - x, by - x), (x - y, bx - by), (-x, -bx), (x * x * y, bx * bx * y)):
+                _check_bound(held, exact)
+
+    def test_exact_while_it_fits(self):
+        b = BoundedInt.of(12345, 64) * 6789 + 1
+        assert (b.m, b.s, b.err) == (12345 * 6789 + 1, 0, 0)
+        assert b.bit_length() == (12345 * 6789 + 1).bit_length()
+        assert BoundedInt.of(7, None) == 7 and BoundedInt.of(b, 80) is b
+
+    def test_narrow(self):
+        assert narrow(2**PLAIN_BITS - 1, 100) == 2**PLAIN_BITS - 1
+        big = narrow(3**10000, 100)
+        assert type(big) is BoundedInt and big.bits == 100 and _check_bound(big, 3**10000)
+        assert narrow(BoundedInt.of(5, 100), 100) == 5  # an exact BoundedInt that fits comes back as an int
+        assert narrow(big, 100) is big
+        assert narrow(3**10000, None) == 3**10000
+
+    def test_unsettled_reads(self):
+        # 2^200 within 2 units of 2^190: neither the bit length nor the top 64 bits are fixed
+        b = BoundedInt(2**10 - 1, 190, 2, 10)
+        with pytest.raises(_Unsettled):
+            b.bit_length()
+        with pytest.raises(_Unsettled):
+            log_big(b)
+        with pytest.raises(ValueError):
+            log_big(BoundedInt(-5, 10, 1, 10))
 
 
 class TestLogQStream:

@@ -53,8 +53,11 @@ from levycf import (
     trace_poly,
     xi_oscillation,
 )
+import levycf.continuants
 import levycf.levy
 from levycf import _kernels
+from levycf.continuants import BoundedInt
+from levycf.errors import TraceRangeError
 from levycf.levy import TAIL_DEPTH_MAX, _mu_root, levy_from_trace
 from levycf.words import sturmian_letters, xi_blocks
 
@@ -582,6 +585,130 @@ class TestInvertF:
         assert len(calls) < 200
 
 
+@pytest.fixture
+def bounded_past_64_bits(monkeypatch):
+    # traces past 64 bits are held as BoundedInts, so that small cases take the bounded route
+    monkeypatch.setattr(levycf.continuants, "PLAIN_BITS", 64)
+    monkeypatch.setattr(levycf.levy, "PLAIN_BITS", 64)
+
+
+def _on_exact_ints(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(levycf.levy, "_settled", lambda compute, bits: compute(None))
+        return fn(*args)
+
+
+def _invert_outcome(*args):
+    try:
+        return invert_f(*args)
+    except NoConvergenceError as exc:
+        return str(exc)
+
+
+def _invert_cases(rng):
+    # interior targets, targets beside the f of small rationals and near either end (jumped runs),
+    # tight tols, and step caps before, at and past where the descent ends
+    cases = []
+    for ab in (Alphabet(1, 2), Alphabet(2, 5), Alphabet(3, 4), Alphabet(1, 7)):
+        f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
+        for _ in range(6):
+            cases.append((f0 + (f1 - f0) * rng.random(), ab, 10 ** rng.uniform(-11, -5), 10**6))
+        for _ in range(4):
+            eps = 10 ** rng.uniform(-5.5, -3.5)
+            cases.append((f0 + eps if rng.random() < 0.5 else f1 - eps, ab, 10 ** rng.uniform(-11, -8), 10**6))
+        for _ in range(4):
+            q = rng.randrange(2, 30)
+            p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+            target = slope_point(Fraction(p, q), ab).f_value + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -4)
+            cases.append((target, ab, 10 ** rng.uniform(-11, -8), rng.choice([10**6, rng.randrange(1, 3000)])))
+        cases.append((slope_point(Fraction(5, 13), ab).f_value, ab, 1e-11, 10**6))  # hit exactly
+    return cases
+
+
+class TestBoundedRoutes:
+    """invert_f and f_irrational on BoundedInt traces against the same code on exact ints."""
+
+    def test_invert_f_same_on_both_routes(self, bounded_past_64_bits, monkeypatch):
+        rng = random.Random(23)
+        seen = []
+
+        def recorded(t, s):
+            seen.append(type(t))
+            return levy_from_trace(t, s)
+
+        monkeypatch.setattr(levycf.levy, "levy_from_trace", recorded)
+        outcomes = []
+        for bits in (math.inf, 3000, 30000):  # the default budget, and budgets that end some descents
+            if bits < math.inf:
+                monkeypatch.setattr(levycf.levy, "INVERT_TRACE_BITS", bits)
+            for case in _invert_cases(rng):
+                want = _on_exact_ints(monkeypatch, _invert_outcome, *case)
+                assert _invert_outcome(*case) == want, (bits, case)
+                outcomes.append(want)
+        assert BoundedInt in seen and int in seen
+        assert sum(isinstance(o, str) and "budget" in o for o in outcomes) >= 5
+        assert sum(isinstance(o, str) and "steps" in o and "budget" not in o for o in outcomes) >= 3
+        assert sum(isinstance(o, InvertResult) and o.exact for o in outcomes) >= 3
+
+    def test_f_irrational_same_bits_on_both_routes(self, bounded_past_64_bits, monkeypatch):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 120:
+            ab = rng.choice([Alphabet(1, 2), Alphabet(1, 3), Alphabet(2, 5), Alphabet(3, 4), Alphabet(10, 10**6)])
+            slope = SlopeCF(tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4))),
+                            tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
+            k = rng.randint(1, 30)
+            if slope.convergent(k)[1] > 10**5:
+                continue
+            res, p, q = f_irrational(slope, k, ab)
+            want, p_exact, q_exact = _on_exact_ints(monkeypatch, f_irrational, slope, k, ab)
+            assert (res.value.hex(), res.error_bound, p, q) == (want.value.hex(), want.error_bound, p_exact, q_exact)
+            checked += 1
+
+    def test_fallback_to_exact_ints_gives_the_same_results(self, bounded_past_64_bits, monkeypatch):
+        # At P = 72 the top 64 bits are often not fixed, so both functions rerun on exact ints; without the
+        # rerun _Unsettled escapes
+        rng = random.Random(31)
+        cases = _invert_cases(rng)[:20]
+        slopes = [(SlopeCF((rng.randint(1, 4),), (1, rng.randint(1, 3))), rng.randint(8, 18), Alphabet(1, 2))
+                  for _ in range(20)]
+        want_invert = [_invert_outcome(*case) for case in cases]
+        want_slope = [f_irrational(*args)[0].value.hex() for args in slopes]
+        exact_runs, descend, trace_of = [], levycf.levy._descend, levycf.levy.christoffel_trace
+        monkeypatch.setattr(levycf.levy, "mantissa_bits", lambda q: 72)
+        monkeypatch.setattr(levycf.levy, "_descend",
+                            lambda *args: exact_runs.append(args[-1] is None) or descend(*args))
+        monkeypatch.setattr(levycf.levy, "christoffel_trace",
+                            lambda pq, ab, bits=None: exact_runs.append(bits is None) or trace_of(pq, ab, bits))
+        assert [_invert_outcome(*case) for case in cases] == want_invert
+        assert [f_irrational(*args)[0].value.hex() for args in slopes] == want_slope
+        assert sum(exact_runs) >= 10  # the rerun happened
+
+    def test_limits_of_the_exact_route(self):
+        # outputs of the exact route, which took 8 s and 6 s on exact ints
+        res = invert_f(0.7, AB, 1e-14)
+        assert (str(res.lower), str(res.upper), res.steps) == ("8114257/13790411", "4399968/7477871", 73)
+        assert not res.exact
+        assert (f"{res.f_lower:.15g}", f"{res.f_upper:.15g}") == ("0.699999999999999", "0.700000000000004")
+        budget = r"^no enclosure of width 1e-14 within the trace budget of 16777216 bits \(72 steps\)$"
+        with pytest.raises(NoConvergenceError, match=budget):
+            invert_f(1.18656911041562, Alphabet(2, 3), 1e-14)
+
+    def test_slope_route_against_the_sturmian_estimate(self):
+        # two independent routes to f at the golden slope over {1, 2}: the trace of the 100th convergent, and
+        # (log Q_n)/n at n = 10^18 from the Ostrowski product of ScaledMat2
+        golden = SlopeCF((1,), repeat=(1,))
+        f = f_irrational(golden, 100, AB)[0].value
+        assert abs(f - sturmian_logq(golden, 10**18, AB).value) <= 4 * math.ulp(f)
+
+    def test_past_float_range(self):
+        with pytest.raises(TraceRangeError, match="^the denominator q_1500 is past float range"):
+            f_irrational(GOLDEN, 1500, AB)
+        with pytest.raises(TraceRangeError, match="^the trace's bit count at convergent 1470 is past float range"):
+            f_irrational(GOLDEN, 1470, Alphabet(1000, 1001))
+        assert f_irrational(GOLDEN, 1460, Alphabet(1000, 1001))[0].value == pytest.approx(6.9087, abs=1e-3)
+
+
 class TestFareyPoints:
     def test_rows_match_sorted_farey_slope_points(self):
         for ab in (AB, Alphabet(2, 5)):
@@ -741,6 +868,16 @@ class TestLevyEmpirical:
         n = 3 if method == "logq" else 1
         with pytest.raises(InvalidWordError, match="^letters must be >= 1$"):
             levy_empirical(source(letters), n, method=method, tail_depth=3, period=period)
+
+    @pytest.mark.parametrize("period", [None, 3])
+    @pytest.mark.parametrize("method", ["logq", "birkhoff"])
+    @pytest.mark.parametrize("source", [np.array, iter], ids=["array", "iterator"])
+    def test_infinite_letter(self, source, method, period):
+        # an inf letter passes the >= 1 check; periodic logq returned nan and the other logq route raised a
+        # bare OverflowError, where every route now raises one error
+        n = 3 if method == "logq" else 1
+        with pytest.raises(InvalidWordError, match="^letters must be finite$"):
+            levy_empirical(source([1.0, math.inf, 2.0]), n, method=method, tail_depth=3, period=period)
 
     def test_bad_letter_before_short_source(self):
         # letters are checked piece by piece, so a bad letter fails before the end of the source

@@ -296,7 +296,9 @@ def christoffel_trace(pq: Fraction, alphabet: Alphabet, bits=None):
     matrices are seeded with BoundedInt entries, so every product holds
     `bits` bits and the trace is a BoundedInt; the default is the exact int.
     """
-    m_b, m_a = (Mat2(*(BoundedInt.of(e, bits) for e in (x, 1, 1, 0))) for x in (alphabet.b, alphabet.a))
+    m_b, m_a = Mat2(alphabet.b, 1, 1, 0), Mat2(alphabet.a, 1, 1, 0)
+    if bits is not None:
+        m_b, m_a = (Mat2(*(BoundedInt.of(e, bits) for e in m)) for m in (m_b, m_a))
     return _christoffel_conjugate(pq, m_b, m_a, operator.pow, operator.matmul).trace
 
 

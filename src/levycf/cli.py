@@ -16,8 +16,10 @@ so stdout is still one JSON document, with fewer rows than its count.
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -35,11 +37,11 @@ from .levy import (
     METHOD_RATIONAL,
     XI_MMAX,
     QuadPeriod,
+    _farey_chunks,
     _check_tail_depth,
     curve_qmax,
     f_irrational,
     farey_count,
-    farey_points,
     invert_f,
     levy_empirical,
     levy_quadratic,
@@ -198,29 +200,40 @@ def cmd_curve(args, alphabet):
     limit = curve_qmax(alphabet)
     if not 1 <= args.qmax <= limit:
         raise InvalidWordError(f"--qmax must be in 1..{limit}, got {args.qmax}")
-    points = farey_points(args.qmax, alphabet)  # both ends are checked here, before any row is written
+    chunks = _farey_chunks(args.qmax, alphabet)  # both ends are checked here, before any row is written
     count = farey_count(args.qmax)
-    return {"qmax": args.qmax}, {"count": count, "rows": _curve_rows(points, count)}
+    return {"qmax": args.qmax}, {"count": count, "rows": _curve_rows(chunks, count)}
 
 
-def _curve_rows(points, count):
-    """The (p, q, f, x) rows with f and x as their 15-digit text, checked as they stream past the writer.
+def _curve_rows(chunks, count):
+    """Each chunk of (p, q, f, x) rows as (ps, qs, f_texts, x_texts), checked as it streams past the writer.
 
-    Each value is formatted once, and f is compared as the float of its text.
-    Two rows with the same f text, which letters a few ulps apart give, raise
-    InvalidWordError; any other broken check raises AssertionError.  Either
-    is raised after the rows before it were written.
+    Each value is formatted once with .15g.  Two rows with the same f text,
+    which letters a few ulps apart give, raise InvalidWordError; an f not
+    above the one before raises AssertionError.  Either is raised after the
+    rows before it were yielded.  Comparing texts for ties and the floats
+    themselves for order raises what comparing the floats of the texts
+    would: .15g rounds monotonically, so f rising gives a text at least as
+    large, and a text that differs is then larger.
     """
-    prev, last, n = -math.inf, None, 0
-    for p, q, f, x in points:
-        f_text = f"{f:.15g}"
-        f = float(f_text)
-        if f == prev:
-            raise InvalidWordError(f"f at {p}/{q} equals f at {last[0]}/{last[1]} to the 15 digits that curve prints")
-        if not prev < f:
-            raise AssertionError(f"f not strictly increasing at {p}/{q}")
-        prev, last, n = f, (p, q), n + 1
-        yield p, q, f_text, f"{x:.15g}"
+    prev_f, prev_text, last, n = -math.inf, None, None, 0
+    for ps, qs, fs, xs in chunks:
+        f_texts = list(map(format, fs, itertools.repeat(".15g")))
+        x_texts = list(map(format, xs, itertools.repeat(".15g")))
+        if not (all(map(operator.lt, [prev_f, *fs], fs)) and not any(map(operator.eq, [prev_text, *f_texts], f_texts))):
+            for i, (p, q, f, f_text) in enumerate(zip(ps, qs, fs, f_texts)):
+                if f_text == prev_text:
+                    error = InvalidWordError(f"f at {p}/{q} equals f at {last} to the 15 digits that curve prints")
+                    break
+                if not prev_f < f:
+                    error = AssertionError(f"f not strictly increasing at {p}/{q}")
+                    break
+                prev_f, prev_text, last = f, f_text, f"{p}/{q}"
+            if i:
+                yield ps[:i], qs[:i], f_texts[:i], x_texts[:i]
+            raise error
+        prev_f, prev_text, last, n = fs[-1], f_texts[-1], f"{ps[-1]}/{qs[-1]}", n + len(ps)
+        yield ps, qs, f_texts, x_texts
     if n != count:
         raise AssertionError(f"{n} rows, expected the Farey count {count}")
 
@@ -328,8 +341,8 @@ def _emit_csv(record, out, start):
     command = record["command"]
     if command == "curve":
         out.write("p,q,slope,f,x\n")
-        for p, q, f, x in record["results"]["rows"]:
-            out.write(f"{p},{q},{p}/{q},{f},{x}\n")
+        for ps, qs, fs, xs in record["results"]["rows"]:
+            out.write("".join([f"{p},{q},{p}/{q},{f},{x}\n" for p, q, f, x in zip(ps, qs, fs, xs)]))
         return
     if command == "xi":
         out.write("m,u\n")
@@ -345,18 +358,34 @@ def _emit_csv(record, out, start):
     out.write(f"wall_time_s,{time.perf_counter() - start}\n")
 
 
-# One curve row as json.dumps(record, indent=2) writes it inside results.rows, without the comma before it.
-# %d and %r give the int and float reprs that json.dumps writes of p, q and the floats of the f and x texts.
-_JSON_ROW = '\n      {\n        "p": %d,\n        "q": %d,\n        "f": %r,\n        "x": %r\n      }'
+def _json_floats(texts):
+    """The .15g texts of a chunk as json.dumps writes their floats: repr(float(text)) each.
+
+    A text with a '.' and no exponent is that repr already.  float(text) is
+    the double nearest the decimal D of text, and repr gives the shortest
+    decimal that rounds to it, the nearest if several do.  Distinct decimals
+    of at most 15 significant digits round to distinct normal doubles (DBL_DIG
+    is 15), so D is the only candidate of 15 digits or fewer: repr has D's
+    digits.  Both .15g and repr write D positionally at its exponent, in
+    -4..14 here, and repr adds '.0' only where D is integral.  Subnormals
+    keep fewer than 15 digits, so the argument fails for them, but curve
+    never meets one: its f is above 0.48 (f(0/1) = asinh(a/2) with a >= 1) and
+    its x at least 1.  Integral texts, such as x = 1 at 0/1 when a = 1, and
+    texts with an exponent go through float.
+    """
+    joined = "".join(texts)  # every text holds at most one '.'
+    if "e" not in joined and joined.count(".") == len(texts):
+        return texts
+    return [text if "." in text and "e" not in text else repr(float(text)) for text in texts]
 
 
 def _emit_json(record, out, start):
     """Write the record as print(json.dumps(record, indent=2)) does, with wall_time_s counted from start.
 
     curve's rows are lazy: json.dumps writes the envelope around an empty row
-    list, and the rows stream into it one _JSON_ROW each, so no row list is
-    built.  Its wall_time_s is taken after the last row, so it covers the walk.
-    A row stream that raises still closes the row list and the record.
+    list, and the rows stream into it a chunk at a time, so no row list is
+    built.  Its wall_time_s is taken after the last row, so it covers the
+    walk.  A row stream that raises still closes the row list and the record.
     """
     results = record["results"]
     if record["command"] != "curve":
@@ -367,8 +396,12 @@ def _emit_json(record, out, start):
     out.write(head + "[")
     sep = ""
     try:
-        for p, q, f, x in results["rows"]:
-            out.write(sep + _JSON_ROW % (p, q, float(f), float(x)))
+        for ps, qs, fs, xs in results["rows"]:
+            # each row as json.dumps(record, indent=2) writes it inside results.rows, rows joined by commas
+            out.write(sep + ",".join([
+                f'\n      {{\n        "p": {p},\n        "q": {q},\n        "f": {f},\n        "x": {x}\n      }}'
+                for p, q, f, x in zip(ps, qs, _json_floats(fs), _json_floats(xs))
+            ]))
             sep = ","
     finally:
         out.write("\n    ]" + tail.replace("null", json.dumps(time.perf_counter() - start)) + "\n")

@@ -74,6 +74,10 @@ XI_MMAX = 1000  # past m = 1023 the block length 2^m overflows a float
 # CURVE_STACK_BITS (32 MB).  At qmax 2000 with a = 10^300, b = a + 1 the walk peaked at 533 MB of RSS.
 CURVE_QMAX = 10**4
 CURVE_STACK_BITS = 2**28
+# Rows per chunk of the curve walk (_farey_chunks); the writer formats and writes a chunk at a time.  Over 15
+# rounds of a benchmark sweep in one process, chunks of 256, 1024 and 4096 rows took the same time within noise
+# and peaked at 35.4, 37.1 and 37.9 MB of RSS.
+CURVE_CHUNK = 256
 # The deepest Birkhoff window, so that no few-digit --tail-depth runs for minutes: every birkhoff route takes
 # O(tail_depth) numpy steps per batch of windows.  At 2048 the slowest, a Sturmian slope at n = 10^18, takes
 # about 1.2 s as a child process on a 2-core VM.
@@ -158,6 +162,9 @@ def levy_from_trace(t: int, s: int) -> float:
     if s < 1:
         raise ValueError(f"need s >= 1, got s={s}")
     lt = log_big(t)  # a t below 1 raises ValueError here
+    if lt > 27.0:
+        # |u4| < 4 e^-54 < 2^-54, so 1 + u4 rounds to 1 and the correction below is exactly 0
+        return lt / s
     u4 = 4.0 * math.exp(-2.0 * lt)
     if s % 2 == 0:
         u4 = -u4
@@ -254,41 +261,60 @@ def curve_qmax(alphabet: Alphabet) -> int:
 def farey_points(qmax: int, alphabet: Alphabet):
     """(p, q, f, x) at every reduced p/q in [0, 1] with q <= qmax, in increasing order, as a generator.
 
-    qmax and both endpoint rows are checked here, before the first row is
+    The rows of _farey_chunks, one at a time; qmax and both endpoint rows are
+    checked on the call, before the first row is read.
+    """
+    return (row for chunk in _farey_chunks(qmax, alphabet) for row in zip(*chunk))
+
+
+def _farey_chunks(qmax: int, alphabet: Alphabet):
+    """farey_points' rows in chunks of CURVE_CHUNK rows (the last may be shorter), each as four lists (ps, qs, fs, xs).
+
+    qmax and both endpoint rows are checked here, before the first chunk is
     read: x increases with f, which increases with the slope, so when x fits
     a float at 0/1 and 1/1 it fits at every row.  The rows in between come
     from an in-order walk of the Stern-Brocot tree cut at q <= qmax.  Each
     bracket carries the traces of its two ends and of their difference node,
     so each node's trace costs one multiply (continuants.mediant_trace).  The
     stack is explicit because the path 1/2, 1/3, ... is qmax nodes deep; it
-    is all the walk keeps, so memory is O(qmax) traces however many rows are read.
+    and one chunk are all the walk keeps, so memory is O(qmax) traces however
+    many rows are read.
     """
     limit = curve_qmax(alphabet)
     if not 1 <= qmax <= limit:
         raise ValueError(f"qmax must be in 1..{limit}, got {qmax}")
     a, b = alphabet.a, alphabet.b
-    first, last = (0, 1, *_f_x(0, 1, a)), (1, 1, *_f_x(1, 1, b))
-    return _farey_walk(qmax, a, b, first, last)
+    return _farey_walk(qmax, a, b, _f_x(0, 1, a), _f_x(1, 1, b))
 
 
 def _farey_walk(qmax, a, b, first, last):
-    yield first
+    exp, size = math.exp, CURVE_CHUNK
+    ps, qs, fs, xs = [0], [1], [first[0]], [first[1]]
     stack = []
-    # bracket: (p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff)
-    node = (0, 1, a, 1, 1, b, 2)
+    # the bracket of Farey neighbours lo < hi, with the trace of their difference node
+    p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff = 0, 1, a, 1, 1, b, 2
     while True:
-        while node[1] + node[4] <= qmax:
-            p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff = node
+        while q_lo + q_hi <= qmax:  # down to the left: the mediant waits on the stack with its right bracket
             p, q = p_lo + p_hi, q_lo + q_hi
-            t = mediant_trace(t_lo, t_hi, t_diff, min(q_lo, q_hi))
-            stack.append((node, p, q, t))
-            node = (p_lo, q_lo, t_lo, p, q, t, t_hi)
+            t = mediant_trace(t_lo, t_hi, t_diff, q_lo if q_lo < q_hi else q_hi)
+            stack.append((p, q, t, p_hi, q_hi, t_hi, t_lo))
+            p_hi, q_hi, t_hi, t_diff = p, q, t, t_hi
         if not stack:
             break
-        (p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, _), p, q, t = stack.pop()
-        yield (p, q, *_f_x(p, q, t))
-        node = (p, q, t, p_hi, q_hi, t_hi, t_lo)
-    yield last
+        p_lo, q_lo, t_lo, p_hi, q_hi, t_hi, t_diff = stack.pop()
+        f = levy_from_trace(t_lo, q_lo)
+        ps.append(p_lo)
+        qs.append(q_lo)
+        fs.append(f)
+        xs.append(exp(f) - exp(-f))  # no overflow: x at 1/1 is checked
+        if len(ps) == size:
+            yield ps, qs, fs, xs
+            ps, qs, fs, xs = [], [], [], []
+    ps.append(1)
+    qs.append(1)
+    fs.append(last[0])
+    xs.append(last[1])
+    yield ps, qs, fs, xs
 
 
 _SPREAD_CONTEXT = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)

@@ -23,6 +23,7 @@ from .errors import (
     InsufficientDigitsError,
     InvalidWordError,
     NotAFactorError,
+    TraceRangeError,
 )
 
 
@@ -87,9 +88,25 @@ class SlopeCF:
         return ((k, p, q) for k, (p, q) in enumerate(pairs))
 
     def convergent(self, k: int) -> tuple:
-        """(p_k, q_k)."""
-        _, p, q = next(itertools.islice(self.convergents(), k, None))
-        return p, q
+        """(p_k, q_k), without stepping past a q_j beyond float range.
+
+        Digits that do not reach d_k raise InsufficientDigitsError before any
+        step.  q_j >= F_{j+2} grows at least as fast as the Fibonacci numbers,
+        so it passes 2^1024 by j = 1475 whatever the digits, and every later
+        q_k is larger still.  The walk stops at such a q_j with
+        TraceRangeError, since f = log T / q reads q_k as a float, so a deep
+        k costs at most 1475 steps and not k steps of k-digit ints.
+        """
+        if k < 0:
+            raise ValueError("convergent index must be >= 0")
+        if not self.repeat and k > len(self.digits):
+            self.digit(len(self.digits) + 1)
+        for j, p, q in self.convergents():
+            if j == k:
+                return p, q
+            if q.bit_length() > 1024:
+                raise TraceRangeError(f"the denominator q_{k} is past float range, as q_{j} already is "
+                                      f"(about 2^{q.bit_length() - 1}), so f = log T / q is no float")
 
     def convergent_exceeding(self, bound) -> tuple:
         """First (k, p_k, q_k) with q_k > bound."""

@@ -14,6 +14,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levycf
 import levycf.cli
@@ -137,6 +139,19 @@ class TestSlope:
             [line] = out.err.splitlines()
             assert line.startswith(f"error: --depth {argv[1]}: {what} is past float range")
 
+    def test_cf_deep_depth_exits_before_its_convergent(self, capsys):
+        # q_1475 is past float range whatever the digits, so no depth walks further
+        assert main(["slope", "--cf", "1", "--repeat", "1", "--depth", "10000000", "-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: --depth 10000000: the denominator q_10000000 is past float range, "
+                                        "as q_1475 already is (about 2^1024), so f = log T / q is no float"]
+        # digits that stop short still exit 4 with the first missing digit, before any step
+        assert main(["slope", "--cf", "1,2", "--depth", "100000", "-a", "1", "-b", "2"]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: slope digit d_3 unknown (only 2 given)"]
+
     def test_cf_depth_1000(self, capsys):
         # a trace of about 10^209 letters, read from BoundedInts of 128 + 695 bits
         assert main(["slope", "--cf", "1", "--repeat", "1", "--depth", "1000", "-a", "1", "-b", "2"]) == 0
@@ -243,14 +258,64 @@ class TestCurve:
         assert out.out == ""
         assert out.err.splitlines() == ["error: --qmax must be in 1..733, got 734"]
 
+    @staticmethod
+    def _inject_chunks(monkeypatch, rows, size):
+        # the rows, in chunks of `size`, as the walk hands them to the writer
+        chunks = [[list(column) for column in zip(*rows[i:i + size])] for i in range(0, len(rows), size)]
+        monkeypatch.setattr(levycf.cli, "_farey_chunks", lambda qmax, alphabet: iter(chunks))
+
     def test_broken_invariant_raises_after_partial_output(self, monkeypatch, capsys):
+        # 1/1 breaks the order in mid-chunk (one chunk of 3) and as the first row of a chunk (chunks of 2);
+        # two of the three rows that the count promises break the count
         rows = [(0, 1, 0.5, 1.0), (1, 2, 0.7, 2.0), (1, 1, 0.6, 3.0)]
-        for walk, message in ((rows, "f not strictly increasing at 1/1"), (rows[:2], "2 rows, expected the Farey count 3")):
-            monkeypatch.setattr(levycf.cli, "farey_points", lambda qmax, alphabet: iter(walk))
-            for fmt, written in (("json", '"q": 2'), ("csv", "\n1,2,1/2,0.7,2\n")):
+        order = "f not strictly increasing at 1/1"
+        for walk, size, message in ((rows, 3, order), (rows, 2, order), (rows[:2], 2, "2 rows, expected the Farey count 3")):
+            self._inject_chunks(monkeypatch, walk, size)
+            for fmt, written, unwritten in (("json", '"q": 2', '"q": 1,\n        "f": 0.6'), ("csv", "\n1,2,1/2,0.7,2\n", "1/1")):
                 with pytest.raises(AssertionError, match=message):
                     main(["curve", "--qmax", "2", "-a", "1", "-b", "2", "--format", fmt])
-                assert written in capsys.readouterr().out
+                out = capsys.readouterr().out
+                assert written in out and unwritten not in out, (size, fmt)
+
+    def test_tie_raises_after_partial_output_in_any_chunk(self, monkeypatch, capsys):
+        # 1/2 ties 0/1 at 15 digits in mid-chunk (one chunk of 3) and as the first row of a chunk (chunks of 1)
+        rows = [(0, 1, 0.5, 1.0), (1, 2, 0.5000000000000001, 2.0), (1, 1, 0.6, 3.0)]
+        for size in (3, 1):
+            self._inject_chunks(monkeypatch, rows, size)
+            assert main(["curve", "--qmax", "2", "-a", "1", "-b", "2", "--format", "csv"]) == 2
+            out = capsys.readouterr()
+            assert out.out == "p,q,slope,f,x\n0,1,0/1,0.5,1\n"
+            assert out.err.splitlines() == ["error: f at 1/2 equals f at 0/1 to the 15 digits that curve prints"]
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (1, 10**200), (1, 3)], ids=["1,2", "2,3", "1,10^200", "1,3"])
+    def test_bytes_at_chunk_boundaries(self, monkeypatch, capsys, a, b):
+        # qmax 10 has 33 rows: one chunk of 33, chunks of 11 (33 on a boundary), 16 (one row after it) and 17
+        # (one row before it).  {1, 10^200} prints x in e+ form, and a = 1 prints x = 1 at 0/1
+        ab = Alphabet(a, b)
+        points = {fr: slope_point(fr, ab) for fr in {Fraction(p, q) for q in range(1, 11) for p in range(q + 1)}}
+        for size in (33, 11, 16, 17):
+            monkeypatch.setattr(levycf.levy, "CURVE_CHUNK", size)
+            for fmt in ("json", "csv"):
+                assert main(["curve", "--qmax", "10", "-a", str(a), "-b", str(b), "--format", fmt]) == 0
+                out = capsys.readouterr().out
+                wall = json.loads(out)["wall_time_s"] if fmt == "json" else None
+                assert out == _listed_curve(points, 10, ab, fmt, wall), (size, fmt)
+        assert ("e+" in out) == (b == 10**200)
+        assert ("\n0,1,0/1,0.481211825059603,1\n" in out) == (a == 1)
+
+    def test_bytes_around_the_real_chunk_size(self, capsys):
+        # 3,327 rows at qmax 104 end one row before a boundary of 256-row chunks, 18,177 at qmax 244 one row after
+        assert levycf.levy.CURVE_CHUNK == 256
+        ab = Alphabet(1, 2)
+        fracs = {Fraction(p, q) for q in range(1, 245) for p in range(q + 1)}
+        points = {fr: slope_point(fr, ab) for fr in fracs}
+        for qmax, count in ((104, 3327), (244, 18177)):
+            assert count % 256 in (255, 1)
+            for fmt in ("json", "csv"):
+                assert main(["curve", "--qmax", str(qmax), "-a", "1", "-b", "2", "--format", fmt]) == 0
+                out = capsys.readouterr().out
+                wall = json.loads(out)["wall_time_s"] if fmt == "json" else None
+                assert out == _listed_curve(points, qmax, ab, fmt, wall), (qmax, fmt)
 
     @pytest.mark.parametrize("fmt, written", [("json", '"q": 1,'), ("csv", "p,q,slope,f,x\n0,1,0/1,34.5387763949107,999999999999999\n")])
     def test_letters_too_close_for_15_digits_exit_2(self, capsys, fmt, written):
@@ -303,6 +368,29 @@ class TestCurve:
         record = run_json("curve", "--qmax", "1", "-a", "2", "-b", "5")
         assert [(row["p"], row["q"]) for row in record["results"]["rows"]] == [(0, 1), (1, 1)]
         assert record["results"]["rows"][1]["x"] == 5.0
+
+
+# Normal floats only: the shortcut rests on distinct decimals of at most 15 significant digits rounding to
+# distinct doubles (DBL_DIG), which fails for subnormals, whose precision is below 15 digits.  Their .15g
+# texts hold an exponent, so they go through float anyway, and curve's f and x are never that small.
+NORMAL_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+class TestJsonFloats:
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(v=NORMAL_FLOATS)
+    def test_a_positional_text_is_its_float_repr(self, v):
+        text = f"{v:.15g}"
+        assert levycf.cli._json_floats([text]) == [repr(float(text))]
+        if "." in text and "e" not in text:
+            assert text == repr(float(text))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=st.lists(st.one_of(NORMAL_FLOATS, st.integers(-10**16, 10**16).map(float)), max_size=40))
+    def test_a_chunk_matches_float_repr_per_text(self, values):
+        # integral values print without a '.' under .15g, and mix into a chunk with positional ones
+        texts = [f"{v:.15g}" for v in values]
+        assert levycf.cli._json_floats(texts) == [repr(float(text)) for text in texts]
 
 
 class TestInvert:

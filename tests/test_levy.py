@@ -103,6 +103,37 @@ class TestLevyQuadratic:
         assert res.error_bound is None
 
 
+def _levy_from_trace_in_full(t, s):
+    # levy_from_trace's formula without its early exit
+    lt = log_big(t)
+    u4 = 4.0 * math.exp(-2.0 * lt)
+    if s % 2 == 0:
+        u4 = -u4
+    return (lt + math.log1p((math.sqrt(1.0 + u4) - 1.0) / 2.0)) / s
+
+
+class TestLevyFromTraceEarlyExit:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(bits=st.integers(30, 3000), seed=st.integers(0, 2**32), s=st.integers(1, 10**6))
+    def test_bit_for_bit_against_the_full_formula(self, bits, seed, s):
+        # traces from about e^20 up, so both sides of the exit at log t = 27 are drawn
+        t = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+        want = _levy_from_trace_in_full(t, s)
+        assert levy_from_trace(t, s) == want
+        held = BoundedInt.of(t, 128)
+        try:
+            assert levy_from_trace(held, s) == want
+        except levycf.continuants._Unsettled:
+            pass  # the bound does not fix the top bits read; the callers then rerun on exact ints
+
+    def test_at_the_exit(self):
+        # the largest traces that take the formula, and the smallest that exit, at both parities of s
+        edge = math.ceil(math.exp(27.0))
+        for t in range(edge - 3, edge + 3):
+            for s in (1, 2, 3, 4, 10**6 + 1):
+                assert levy_from_trace(t, s) == _levy_from_trace_in_full(t, s), (t, s)
+
+
 class TestTracePoly:
     def test_constant_term(self):
         for x in (0.5, 1.0, 3.7):
@@ -728,6 +759,15 @@ class TestFareyPoints:
         # the walk's x increase with the slope, so the call checks 1/1 before yielding 0/1
         with pytest.raises(OverflowError, match="x at slope 1/1 is past float range"):
             farey_points(2, Alphabet(1, 10**400))
+
+    def test_chunks_flatten_to_the_rows(self):
+        # every chunk holds CURVE_CHUNK rows but the last; farey_points reads the same walk
+        for qmax in (1, 104, 244):
+            chunks = list(levycf.levy._farey_chunks(qmax, AB))
+            sizes = [len(chunk[0]) for chunk in chunks]
+            assert all(len(column) == size for chunk, size in zip(chunks, sizes) for column in chunk)
+            assert sizes[:-1] == [levycf.levy.CURVE_CHUNK] * (len(sizes) - 1) and sum(sizes) == farey_count(qmax)
+            assert [row for chunk in chunks for row in zip(*chunk)] == list(farey_points(qmax, AB))
 
     def test_count_matches_brute_force(self):
         fracs = set()

@@ -37,6 +37,7 @@ from levycf import (
     xi_word,
 )
 from levycf import words
+from levycf.errors import TraceRangeError
 from levycf.words import characteristic_letters, morphism_letters, sturmian_letters, xi_blocks
 
 AB = Alphabet(1, 2)
@@ -106,6 +107,15 @@ class TestSlopeCF:
             if not repeat:
                 with pytest.raises(InsufficientDigitsError):
                     slope.convergent(9)
+
+    def test_convergent_stops_past_float_range(self):
+        # q_1474 = F_1476 is below 2^1024 and q_1475 past it; the largest digits give no later first index
+        assert GOLDEN.convergent(1474)[1].bit_length() == 1024
+        for slope in (GOLDEN, SlopeCF((7, 1), repeat=(1000,))):
+            with pytest.raises(TraceRangeError, match=r"^the denominator q_99999 is past float range, as q_\d+ already is"):
+                slope.convergent(99999)
+        with pytest.raises(ValueError):
+            GOLDEN.convergent(-1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

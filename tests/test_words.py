@@ -109,7 +109,7 @@ class TestSlopeCF:
                     slope.convergent(9)
 
     def test_convergent_stops_past_float_range(self):
-        # q_1474 = F_1476 is below 2^1024 and q_1475 past it; the largest digits give no later first index
+        # q_1474 = F_1476 is below 2^1024 and q_1475 past it; larger digits pass 2^1024 sooner
         assert GOLDEN.convergent(1474)[1].bit_length() == 1024
         for slope in (GOLDEN, SlopeCF((7, 1), repeat=(1000,))):
             with pytest.raises(TraceRangeError, match=r"^the denominator q_99999 is past float range, as q_\d+ already is"):

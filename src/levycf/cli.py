@@ -132,6 +132,10 @@ def _parse_digits(text):
         raise InvalidWordError(f"cannot parse digits {text!r}: {exc}") from None
 
 
+def _parse_slope(digits, repeat):
+    return SlopeCF(_parse_digits(digits), repeat=_parse_digits(repeat) if repeat else ())
+
+
 def cmd_quad(args, alphabet):
     period = parse_word(args.period)
     preperiod = parse_word(args.preperiod)
@@ -176,9 +180,7 @@ def cmd_slope(args, alphabet):
             "error_bound": "exact-to-rounding",
             "method": METHOD_RATIONAL,
         }
-    digits = _parse_digits(args.cf)
-    repeat = _parse_digits(args.repeat) if args.repeat else ()
-    slope = SlopeCF(digits, repeat=repeat)
+    slope = _parse_slope(args.cf, args.repeat)
     depth = 20 if args.depth is None else args.depth
     if depth < 1:
         raise InvalidWordError("--depth must be >= 1")
@@ -186,7 +188,7 @@ def cmd_slope(args, alphabet):
         res, p_k, q_k = f_irrational(slope, depth, alphabet)
     except TraceRangeError as exc:
         raise TraceRangeError(f"--depth {depth}: {exc}") from None
-    return {"cf": list(digits), "repeat": list(repeat), "depth": depth}, {
+    return {"cf": list(slope.digits), "repeat": list(slope.repeat), "depth": depth}, {
         "p_k": p_k,
         "q_k": q_k,
         "f": _f15(res.value),
@@ -297,10 +299,8 @@ def cmd_estimate(args, alphabet):
             except OSError as exc:
                 raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
         elif args.slope is not None:
-            digits = _parse_digits(args.slope)
-            repeat = _parse_digits(args.repeat) if args.repeat else ()
-            slope = SlopeCF(digits, repeat=repeat)
-            flag, source = "--slope", {"slope_cf": list(digits), "repeat": list(repeat)}
+            slope = _parse_slope(args.slope, args.repeat)
+            flag, source = "--slope", {"slope_cf": list(slope.digits), "repeat": list(slope.repeat)}
         else:
             word = parse_word(args.periodic)
             if not word:
@@ -433,6 +433,9 @@ def main(argv=None):
         # a bad -a/-b pair (ValueError) or a letter past float range (OverflowError) exits 2
         alphabet = Alphabet(args.a, args.b)
         params, results = HANDLERS[args.command](args, alphabet)
+        for key, value in results.items():  # JSON has no inf or NaN, and .15g can round up past float max
+            if isinstance(value, float) and not math.isfinite(value):
+                raise OverflowError(f"{key} is past float range at the 15 digits printed")
     except TargetOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"valid interval: [{exc.low:.15g}, {exc.high:.15g}]", file=sys.stderr)

@@ -326,10 +326,9 @@ def tail_spread(alphabet: Alphabet) -> float:
     With d = sqrt(ab (ab + 4)) the two tails are b + (d - ab)/2a and
     a + (d - ab)/2b, so the gap is (b - a)(1 + 2/(ab + d)), a form that does
     not cancel when the letters are close.  It is evaluated at 50 digits in
-    decimal and rounded once to a float.
+    decimal and rounded once to a float, inf past float range.
     """
     a, b = alphabet.a, alphabet.b
-    float(b - a)  # a spread past float range raises OverflowError here, not inf below
     with decimal.localcontext(_SPREAD_CONTEXT):
         ab = decimal.Decimal(a * b)
         return float((b - a) * (1 + 2 / (ab + (ab * (ab + 4)).sqrt())))
@@ -380,11 +379,13 @@ def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> tuple:
     def f_value(bits):
         t = christoffel_trace(Fraction(p, q), alphabet, bits)
         _check_float_range(t.bit_length(), f"the trace's bit count at convergent {k}")
-        return _f_x(p, q, t)[0]
+        return levy_from_trace(t, q)
 
     bits = mantissa_bits(q)
     f = _settled(f_value, bits if q * (alphabet.b + 1).bit_length() > max(bits, PLAIN_BITS) else None)
-    return LevyResult(f, 5.0 * tail_spread(alphabet) / q, METHOD_IRRATIONAL), p, q
+    spread = tail_spread(alphabet)
+    bound = 5.0 * spread / q if 5.0 * spread < math.inf else spread / q * 5.0  # 5 G may pass float range alone
+    return LevyResult(f, bound, METHOD_IRRATIONAL), p, q
 
 
 @dataclass(frozen=True)
@@ -418,13 +419,6 @@ class InvertResult:
 # with no jump and 0.051 at the parent; exact (30 requests, 226,308 steps) took the same time from the 4th
 # or the 8th, with 1,140 and 1,180 levy_from_trace calls.
 _GALLOP_RUN = 8
-# Only while the fixed end's trace fits in a word.  The run matrix is a BoundedInt, so its squarings no longer
-# cost Karatsuba multiplies of big exact ends, and jumping past this limit gives the same outputs (0 of 1,120
-# benchmark requests differ, seeds 1-5).  But a jump is some 100 BoundedInt operations of about 1 us each, and
-# the runs beside a fixed end past a word are short: without the limit the invert requests of seeds 1-5 took,
-# in process on a 2-core VM, 10.0-10.5 against 9.7-10.0 ms (sweep, 100 requests) and 8.2-8.6 against 7.6-8.0 ms
-# (exact, 30 requests) in 4 alternating pairs, slower in 4 of 4 and 3 of 4.
-_GALLOP_END_BITS = 64
 # A jump lands only on a node whose f lies at least this far, relative to f_hi, inside both of the loop's
 # tests.  levy_from_trace is within about 2^-51 relative of the exact f, which increases strictly with the
 # slope, so every node before the landing one passes the loop's own float tests, ulp noise included.
@@ -501,22 +495,22 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 
     Near an endpoint, or near the f of a small rational, the descent is one
     long run of moves on one side while the other end F stays fixed.  After
-    _GALLOP_RUN such moves, and when F's trace fits in _GALLOP_END_BITS bits,
-    one jump skips the rest of the run (_run_jump): exponential then binary
-    search for the farthest node whose f lies at least a relative margin
-    _GALLOP_MARGIN inside both of the loop's tests (same side of the target,
-    width >= tol), capped at max_steps - steps.  f increases strictly with
-    the slope and levy_from_trace is within that margin of it, so every
+    _GALLOP_RUN such moves, and when F's trace has at most PLAIN_BITS bits
+    (below), one jump skips the rest of the run (_run_jump): exponential then
+    binary search for the farthest node whose f lies at least a relative
+    margin _GALLOP_MARGIN inside both of the loop's tests (same side of the
+    target, width >= tol), capped at max_steps - steps.  f increases strictly
+    with the slope and levy_from_trace is within that margin of it, so every
     skipped node passes the loop's own float tests: the result, steps and
     step-cap error are those of the one-mediant loop, from O(log run)
     evaluations instead of one per node.
 
     No trace is returned, and the loop reads of each trace only its bit
     length and, through levy_from_trace, its top 64 bits.  So a trace past
-    PLAIN_BITS is held as a BoundedInt of P = mantissa_bits(2 *
-    INVERT_TRACE_BITS) bits, 154 at the default budget (a trace within the
-    budget has fewer than 2 * INVERT_TRACE_BITS letters), by
-    continuants.narrow, and the run matrix of a jump is seeded with one.
+    PLAIN_BITS, on the bounded route, is held as a BoundedInt of P =
+    mantissa_bits(2 * INVERT_TRACE_BITS) bits, 154 at the default budget (a
+    trace within the budget has fewer than 2 * INVERT_TRACE_BITS letters),
+    by continuants.narrow, and the run matrix of a jump is seeded with one.
     Each multiply then costs the same whatever the trace's size, and every
     f, bit length, decision and step count is that of the exact ints.  If a
     bound does not fix the bits read, the same descent reruns on exact ints.
@@ -562,7 +556,7 @@ def _descend(target, tol, max_steps, ends, bits):
         p_fix, q_fix, t_fix, f_fix = ends[not side]
         t_diff, ends[side] = ends[side][2], (p, q, t, f_med)
         run = run + sign if run * sign > 0 else sign
-        if run == sign * _GALLOP_RUN and t_fix.bit_length() <= _GALLOP_END_BITS:
+        if run == sign * _GALLOP_RUN and t_fix.bit_length() <= PLAIN_BITS:
             # the loop's side and width tests for the moving end, bit for bit: negation is exact
             margin = _GALLOP_MARGIN * ends[1][3]
             d, t, t_diff, f_d = _run_jump(BoundedInt.of(t_fix, bits), q_fix, t, t_diff, q, max_steps - steps,

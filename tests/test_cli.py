@@ -35,10 +35,14 @@ def run_cli(*args, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=CLI_ENV, timeout=timeout)
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(*args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout, parse_constant=_not_json)  # rejects Infinity, -Infinity and NaN
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +178,22 @@ class TestSlope:
         record = run_json("slope", "--cf", "1", "--repeat", "1", "--depth", "5", "-a", "1", "-b", str(10**200))
         assert record["results"]["tail_spread"] == 1e200
         assert abs(record["results"]["error_bound"] - 5e200 / 13) <= 1e-14 * 5e200 / 13
+        # 5 G alone passes float range from G = max / 5 on, where 5 G / q_5 is still a float
+        record = run_json("slope", "--cf", "1", "--repeat", "1", "--depth", "5", "-a", "1", "-b", str(10**308))
+        assert record["results"]["error_bound"] == 3.84615384615385e307
+
+    @pytest.mark.parametrize("b, depth, err", [
+        (10**308, "1", "error_bound is past float range at the 15 digits printed"),
+        (int(sys.float_info.max), "1", "tail_spread is past float range at the 15 digits printed"),
+        (int(sys.float_info.max), "5", "tail_spread is past float range at the 15 digits printed"),
+        (int(sys.float_info.max) + 2**970 - 1, "1", "tail_spread is past float range at the 15 digits printed"),
+    ], ids=["bound", "spread-printed-at-q1", "spread-printed", "spread"])
+    def test_cf_value_past_float_range_exits_2(self, b, depth, err, capsys):
+        # JSON has no Infinity: a quantity past float range, or whose 15 digits round past it, exits 2
+        assert main(["slope", "--cf", "1", "--repeat", "1", "--depth", depth, "-a", "1", "-b", str(b)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {err}"]
 
     def test_cf_digits_exhausted_exits_4(self):
         proc = run_cli("slope", "--cf", "1,1", "--depth", "15", "-a", "1", "-b", "2")
@@ -545,6 +565,15 @@ class TestEstimate:
         assert out.err.splitlines() == [
             "error: the --periodic letters are too large for the float estimators (int too large to convert to float)"
         ]
+
+    def test_birkhoff_bound_past_float_range_exits_2(self, capsys):
+        # the truncation bound is float max, whose 15 digits round past it: no Infinity reaches the JSON
+        b = str(int(sys.float_info.max))
+        argv = ["estimate", "--periodic", f"1,{b}", "-n", "10", "--method", "birkhoff", "--tail-depth", "2"]
+        assert main([*argv, "-a", "1", "-b", b]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: error_bound is past float range at the 15 digits printed"]
 
     def test_birkhoff_with_huge_letter_in_float_range(self):
         # the truncation's tail spread over {1, 10^200} takes the float fallback

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -413,6 +414,18 @@ class TestFIrrational:
             ref = (b + e / (2 * a)) - (a + e / (2 * b))
             assert abs(tail_spread(Alphabet(a, b)) - ref) <= 2.0**-53 * ref
 
+    def test_bound_near_float_max(self):
+        # 5 G overflows past G = max / 5, while 5 G / q_5 = 5e308 / 13 is still a float; at q_1 it is not, and the
+        # bound rounds up to inf, which still bounds the error
+        ab = Alphabet(1, 10**308)
+        res, _, q = f_irrational(GOLDEN, 5, ab)
+        assert q == 13 and math.isclose(res.error_bound, float(5 * Fraction(tail_spread(ab)) / 13), rel_tol=2**-51)
+        assert f_irrational(GOLDEN, 1, ab)[0].error_bound == math.inf
+        # letters whose difference rounds to float max but whose 50-digit spread rounds past it, and letters past it
+        big = int(sys.float_info.max)
+        assert tail_spread(Alphabet(1, big + 2**969)) == sys.float_info.max
+        assert tail_spread(Alphabet(1, big + 2**970 - 1)) == tail_spread(Alphabet(1, 10**400)) == math.inf
+
     def test_small_bound_is_reachable(self):
         # bound arithmetic only: 5G/q_k < 1e-6 once q_k is large enough
         g = tail_spread(AB)
@@ -462,7 +475,7 @@ def _outcome(fn, *args):
 
 
 class TestInvertF:
-    def test_matches_mat2_descent(self):
+    def test_matches_mat2_descent(self, monkeypatch):
         rng = random.Random(2024)
         alphabets = [Alphabet(1, 2), Alphabet(2, 5), Alphabet(3, 4), Alphabet(1, 7)]
         cases = []
@@ -503,6 +516,21 @@ class TestInvertF:
             res = invert_f(target, ab, tol)
             assert res.steps == n - 1 and slope(n) in (res.lower, res.upper)
             cases += [(target, tol, ab, cap) for cap in (n - 3, n - 2, n - 1, n)]
+        # descents of 3,923 and 4,495 steps beside f(55/89) and f(89/144), whose traces pass 64 bits: each long
+        # run is jumped, so a descent takes under 200 evaluations, and a cap inside a run ends it as the loop does
+        beside = []
+        for pq, eps in ((Fraction(55, 89), 1.5e-8), (Fraction(89, 144), 5e-9)):
+            f = slope_point(pq, AB).f_value
+            beside += [(f + eps, 1e-10, AB, 10**6), (f - eps, 1e-11, AB, 10**6)]
+            cases.append((f + eps, 1e-10, AB, 1000))
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(levycf.levy, "levy_from_trace", lambda t, s: calls.append(s) or levy_from_trace(t, s))
+            for target, tol, ab, cap in beside:
+                calls.clear()
+                res = invert_f(target, ab, tol, cap)
+                assert len(calls) < 200 and res.steps > 1000, (target, tol)
+        cases += beside
         outcomes = []
         for target, tol, ab, cap in cases:
             want = _outcome(_invert_mat2, target, ab, tol, cap)
@@ -613,6 +641,18 @@ class TestInvertF:
         monkeypatch.setattr(levycf.levy, "levy_from_trace", counted)
         res = invert_f(0.481212825059603, AB, 1e-9)
         assert res.steps == 369640 and not res.exact
+        assert len(calls) < 200
+        # f(55/89) + 1e-9 and f(89/144) + 1e-10: runs beside a fixed end whose trace passes 64 bits, which were
+        # stepped node by node in 58,717 and 113,142 evaluations
+        calls.clear()
+        res = invert_f(0.7138046915371793, AB, 1e-13)
+        assert res.steps == 58715 and not res.exact
+        assert (res.lower, res.upper) == (Fraction(3228864, 5224889), Fraction(3228809, 5224800))
+        assert len(calls) < 200
+        calls.clear()
+        with pytest.raises(NoConvergenceError, match=r"^no enclosure of width 1e-13 within the trace budget of "
+                                                     r"16777216 bits \(113140 steps\)$"):
+            invert_f(0.7138409744805019, AB, 1e-13)
         assert len(calls) < 200
 
 

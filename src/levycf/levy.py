@@ -8,8 +8,9 @@ slope -> Levy-constant map inverts by Stern-Brocot bisection, which is valid
 because the map is strictly increasing across rational slopes.  A long run of
 bisection moves on one side, near an endpoint or near the f of a small
 rational, is crossed in one jump: its traces obey a two-term recurrence whose
-matrix powers come by repeated squaring, so the run costs O(log run) exact
-evaluations instead of one per node (invert_f).
+closed form predicts where the run ends, and one matrix power, by repeated
+squaring, gives the node there, so the run costs a few exact evaluations
+instead of one per node (invert_f).
 """
 
 import decimal
@@ -413,15 +414,10 @@ class InvertResult:
         return self.f_upper - self.f_lower
 
 
-# When invert_f jumps over a same-side run (see its docstring).  On the benchmark's invert requests of
-# seeds 1-5, in process on a 2-core VM: sweep (100 requests, 2,919 steps, mostly short runs) took a mean
-# 0.048 ms per request jumping from the 8th move, against 0.052 from the 4th, 0.050 from the 6th, 0.051
-# with no jump and 0.051 at the parent; exact (30 requests, 226,308 steps) took the same time from the 4th
-# or the 8th, with 1,140 and 1,180 levy_from_trace calls.
-_GALLOP_RUN = 8
 # A jump lands only on a node whose f lies at least this far, relative to f_hi, inside both of the loop's
-# tests.  levy_from_trace is within about 2^-51 relative of the exact f, which increases strictly with the
-# slope, so every node before the landing one passes the loop's own float tests, ulp noise included.
+# tests, up to the roundings of the bound c it is compared with.  levy_from_trace is within about 2^-51
+# relative of the exact f, which increases strictly with the slope, so every node before the landing one
+# passes the loop's own float tests, ulp noise included.
 _GALLOP_MARGIN = 2.0**-44
 
 
@@ -434,50 +430,43 @@ _GALLOP_MARGIN = 2.0**-44
 INVERT_TRACE_BITS = 2**24
 
 
-def _run_jump(t_end, q_end, t, t_diff, q, cap, passes):
-    """The farthest node d <= cap of a same-side run whose f passes, by exponential then binary search.
+def _run_jump(fixed, moved, t_diff, c, sign, cap, bits):
+    """Jump a same-side run toward the node where its f reaches c: (d, the end at node d, T_{d-1}), or None.
 
-    The run's nodes are N_d = N_0 + d F: N_0 is the end that just moved (trace t, denominator q), F the
-    fixed end (trace t_end, denominator q_end < q) and N_{-1} = N_0 - F the bracket's difference node
-    (trace t_diff).  By mediant_trace with q_small = q_end, (T_d, T_{d-1}) = R^d (T_0, T_{-1}) with
-    R = [[t_end, sigma], [1, 0]], sigma = (-1)^(q_end + 1); R^(2^i) comes from repeated squaring.
-    A node also passes only if the loop could have computed the node after it within INVERT_TRACE_BITS,
-    and no multiply past that budget is made: a jump never lands beyond where the loop would stop.
-    Returns (d, T_d, T_{d-1}, f(N_d)) for a d that passes, or (0, t, t_diff, None) when node 1 fails.
+    fixed and moved are the (p, q, t, f) of the fixed end F and of the end N_0 that just moved.  The run's
+    nodes are N_d = N_0 + d F, and N_{-1} = N_0 - F is the bracket's difference node (trace t_diff).  By
+    mediant_trace with q_small = q_F < q_0, (T_d, T_{d-1}) = R^d (T_0, T_{-1}) with R = [[T_F, sigma], [1, 0]]
+    and sigma = (-1)^(q_F + 1).  So T_d = A lam^d + B mu^d as in rn_family, where log lam = q_F f(F) and
+    log A = log T_0 + log1p(sigma T_{-1} / (lam T_0)) - log1p(sigma / lam^2), and f(N_d) is about
+    (log A + d log lam) / (q_0 + d q_F).  That reaches c at d* = (c q_0 - log A) / (q_F (f(F) - c)).  The
+    node one short of d*, capped at cap and at about where the traces pass INVERT_TRACE_BITS, is evaluated
+    exactly as R^d (T_0, T_{-1}).  It lands if sign * (c - f) > 0 and the loop could have computed it within
+    INVERT_TRACE_BITS; otherwise d is halved.  R is seeded with the int T_F while d bits(T_F) + bits(T_0) <=
+    PLAIN_BITS, so a short run of small traces multiplies no BoundedInt, and with a BoundedInt past that.
+    None means that no node past the first lands; the loop steps those itself.
     """
-    sigma = 1 if q_end % 2 else -1
-    powers = [Mat2(t_end, sigma, 1, 0)]  # powers[i] = R^(2^i)
-    done, x, y, f_done = 0, t, t_diff, None
-
-    def probe(i):
-        nonlocal done, x, y, f_done
-        r = powers[i]
-        if r.e11.bit_length() + x.bit_length() > INVERT_TRACE_BITS:
-            return False
-        d, x_d = done + (1 << i), r.e11 * x + r.e12 * y
-        f_d = levy_from_trace(x_d, q + d * q_end)
-        if not passes(f_d):
-            return False
-        y_d = r.e21 * x + r.e22 * y
-        if t_end.bit_length() + y_d.bit_length() > INVERT_TRACE_BITS:  # the loop's budget check at node d
-            return False
-        done, x, y, f_done = d, x_d, y_d, f_d
-        return True
-
-    i = 0
-    while done + (1 << i) <= cap:
-        if i == len(powers):
-            if 2 * powers[-1].e11.bit_length() > INVERT_TRACE_BITS:
-                break
-            powers.append(powers[-1] @ powers[-1])
-        if not probe(i):
-            break
-        i += 1
-    # done passes, and done + 2^i fails or exceeds the cap: halve the step down to 1
-    for j in reversed(range(i)):
-        if done + (1 << j) <= cap:
-            probe(j)
-    return done, x, y, f_done
+    p_fix, q_fix, t_fix, f_fix = fixed
+    p, q, t, _ = moved
+    sigma = 1 if q_fix % 2 else -1
+    log_lam, lt = q_fix * f_fix, log_big(t)
+    log_a = (lt + math.log1p(sigma * math.exp(log_big(t_diff) - lt - log_lam))
+             - math.log1p(sigma * math.exp(-2.0 * log_lam)))
+    d = (c * q - log_a) / (q_fix * (f_fix - c)) - 1
+    if not d >= 2:
+        return None
+    fix_bits, t_bits = t_fix.bit_length(), t.bit_length()
+    d = int(min(d, cap, (INVERT_TRACE_BITS - fix_bits - t_bits) * math.log(2.0) / log_lam))
+    while d >= 2:
+        seed = t_fix if d * fix_bits + t_bits <= PLAIN_BITS else BoundedInt.of(t_fix, bits)
+        r = Mat2(seed, sigma, 1, 0) ** d
+        t_d = r.e11 * t + r.e12 * t_diff
+        f_d = levy_from_trace(t_d, q + d * q_fix)
+        if sign * (c - f_d) > 0:
+            t_prev = r.e21 * t + r.e22 * t_diff
+            if fix_bits + t_prev.bit_length() <= INVERT_TRACE_BITS:  # the loop's budget check at node d
+                return d, (p + d * p_fix, q + d * q_fix, narrow(t_d, bits), f_d), narrow(t_prev, bits)
+        d //= 2
+    return None
 
 
 def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10**6) -> InvertResult:
@@ -495,26 +484,30 @@ def invert_f(target: float, alphabet: Alphabet, tol: float, max_steps: int = 10*
 
     Near an endpoint, or near the f of a small rational, the descent is one
     long run of moves on one side while the other end F stays fixed.  After
-    _GALLOP_RUN such moves, and when F's trace has at most PLAIN_BITS bits
-    (below), one jump skips the rest of the run (_run_jump): exponential then
-    binary search for the farthest node whose f lies at least a relative
-    margin _GALLOP_MARGIN inside both of the loop's tests (same side of the
-    target, width >= tol), capped at max_steps - steps.  f increases strictly
-    with the slope and levy_from_trace is within that margin of it, so every
-    skipped node passes the loop's own float tests: the result, steps and
-    step-cap error are those of the one-mediant loop, from O(log run)
-    evaluations instead of one per node.
+    every move, the run's closed form T_d = A lam^d + B mu^d (rn_family)
+    predicts the last node whose f lies at least a relative margin
+    _GALLOP_MARGIN inside both of the loop's tests (same side of the target,
+    width >= tol), and one jump lands one node short of it, capped at
+    max_steps - steps and at the trace budget, if that node, evaluated
+    exactly, passes; otherwise the jump is halved (_run_jump).  f increases
+    strictly with the slope and levy_from_trace is within that margin of it,
+    so every skipped node passes the loop's own float tests: the result,
+    steps and errors are those of the one-mediant loop, and the loop steps
+    the last node or two of a run itself.
 
     No trace is returned, and the loop reads of each trace only its bit
     length and, through levy_from_trace, its top 64 bits.  So a trace past
     PLAIN_BITS, on the bounded route, is held as a BoundedInt of P =
     mantissa_bits(2 * INVERT_TRACE_BITS) bits, 154 at the default budget (a
     trace within the budget has fewer than 2 * INVERT_TRACE_BITS letters),
-    by continuants.narrow, and the run matrix of a jump is seeded with one.
-    Each multiply then costs the same whatever the trace's size, and every
-    f, bit length, decision and step count is that of the exact ints.  If a
-    bound does not fix the bits read, the same descent reruns on exact ints.
+    by continuants.narrow, and so is the run matrix of a jump whose traces
+    may pass PLAIN_BITS.  Each multiply then costs the same whatever the
+    trace's size, and every f, bit length, decision and step count is that
+    of the exact ints.  If a bound does not fix the bits read, the same
+    descent reruns on exact ints.
     """
+    if math.isnan(target):
+        raise ValueError(f"target must be a number, got {target}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol <= math.ulp(target) < math.inf:  # then only f_lo == f_hi could end the descent
@@ -534,7 +527,7 @@ def _descend(target, tol, max_steps, ends, bits):
     # invert_f's descent from the two ends, with each trace held as narrow(t, bits)
     ends = [(p, q, narrow(t, bits), f) for p, q, t, f in ends]
     t_diff = 2
-    steps = run = 0  # run: consecutive moves of the lower end (> 0) or of the upper end (< 0)
+    steps = 0
     while ends[1][3] - ends[0][3] >= tol:
         (p_lo, q_lo, t_lo, _), (p_hi, q_hi, t_hi, _) = ends
         if steps >= max_steps:
@@ -553,17 +546,15 @@ def _descend(target, tol, max_steps, ends, bits):
         # the end on the mediant's side of the target moves to it: sign is +1 for the lower end, -1 for the upper
         side = f_med > target
         sign = -1 if side else 1
-        p_fix, q_fix, t_fix, f_fix = ends[not side]
+        f_fix = ends[not side][3]
         t_diff, ends[side] = ends[side][2], (p, q, t, f_med)
-        run = run + sign if run * sign > 0 else sign
-        if run == sign * _GALLOP_RUN and t_fix.bit_length() <= PLAIN_BITS:
-            # the loop's side and width tests for the moving end, bit for bit: negation is exact
-            margin = _GALLOP_MARGIN * ends[1][3]
-            d, t, t_diff, f_d = _run_jump(BoundedInt.of(t_fix, bits), q_fix, t, t_diff, q, max_steps - steps,
-                                          lambda f: sign * (target - f) > margin and sign * (f_fix - f) >= tol + margin)
-            if d:
-                t, t_diff = narrow(t, bits), narrow(t_diff, bits)
-                ends[side], steps = (p + d * p_fix, q + d * q_fix, t, f_d), steps + d
+        # the loop's side and width tests for the moving end, margin inside: sign * (c - f) > 0 passes both
+        margin = _GALLOP_MARGIN * ends[1][3]
+        c = sign * min(sign * target - margin, sign * f_fix - tol - margin)
+        jump = _run_jump(ends[not side], ends[side], t_diff, c, sign, max_steps - steps, bits)
+        if jump:
+            d, ends[side], t_diff = jump
+            steps += d
     (p_lo, q_lo, _, f_lo), (p_hi, q_hi, _, f_hi) = ends
     med = Fraction(p_lo + p_hi, q_lo + q_hi)
     return InvertResult(Fraction(p_lo, q_lo), Fraction(p_hi, q_hi), med, f_lo, f_hi, fraction_cf(med), False, steps)

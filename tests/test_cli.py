@@ -444,6 +444,12 @@ class TestInvert:
             assert proc.stderr.startswith("error: --tol must be positive and finite")
             assert len(proc.stderr.splitlines()) == 1
 
+    def test_nan_target_exits_2(self, capsys):
+        assert main(["invert", "nan", "-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: target must be a number, got nan"]
+
     def test_tol_at_float_spacing_exits_2(self, capsys):
         # only f_lower == f_upper could meet such a tol
         for tol in ("1e-17", repr(math.ulp(0.7))):

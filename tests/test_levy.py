@@ -631,7 +631,7 @@ class TestInvertF:
             invert_f(0.7, AB, 1e-15)
 
     def test_long_run_takes_few_evaluations(self, monkeypatch):
-        # f0 + 1e-6: a run of about 370,000 nodes toward 0/1, jumped over in O(log run) evaluations
+        # f0 + 1e-6: a run of about 370,000 nodes toward 0/1, jumped over in a few evaluations
         calls = []
 
         def counted(t, s):
@@ -641,19 +641,58 @@ class TestInvertF:
         monkeypatch.setattr(levycf.levy, "levy_from_trace", counted)
         res = invert_f(0.481212825059603, AB, 1e-9)
         assert res.steps == 369640 and not res.exact
-        assert len(calls) < 200
+        assert len(calls) < 30
         # f(55/89) + 1e-9 and f(89/144) + 1e-10: runs beside a fixed end whose trace passes 64 bits, which were
         # stepped node by node in 58,717 and 113,142 evaluations
         calls.clear()
         res = invert_f(0.7138046915371793, AB, 1e-13)
         assert res.steps == 58715 and not res.exact
         assert (res.lower, res.upper) == (Fraction(3228864, 5224889), Fraction(3228809, 5224800))
-        assert len(calls) < 200
+        assert len(calls) < 30
         calls.clear()
         with pytest.raises(NoConvergenceError, match=r"^no enclosure of width 1e-13 within the trace budget of "
                                                      r"16777216 bits \(113140 steps\)$"):
             invert_f(0.7138409744805019, AB, 1e-13)
-        assert len(calls) < 200
+        assert len(calls) < 30
+
+    def test_runs_beside_a_fixed_end_past_plain_bits_are_jumped(self, bounded_past_64_bits, monkeypatch):
+        # the runs of 3,923 and 4,495 steps beside f(55/89) and f(89/144), whose traces pass PLAIN_BITS = 64 here
+        calls = []
+        cases = []
+        for pq, eps in ((Fraction(55, 89), 1.5e-8), (Fraction(89, 144), 5e-9)):
+            f = slope_point(pq, AB).f_value
+            cases += [(f + eps, 1e-10), (f - eps, 1e-11)]
+        with monkeypatch.context() as m:
+            m.setattr(levycf.levy, "levy_from_trace", lambda t, s: calls.append(s) or levy_from_trace(t, s))
+            results = []
+            for target, tol in cases:
+                calls.clear()
+                results.append(invert_f(target, AB, tol))
+                assert len(calls) < 30, (target, tol)
+        assert [res.steps for res in results] == [3923, 3923, 4495, 4495]
+        assert results == [_invert_mat2(target, AB, tol) for target, tol in cases]
+
+    def test_small_traces_stay_plain_ints(self, monkeypatch):
+        # a jump over a short run of small traces multiplies plain ints, not BoundedInts
+        seen = []
+
+        def recorded(t, s):
+            seen.append((type(t), t.bit_length()))
+            return levy_from_trace(t, s)
+
+        monkeypatch.setattr(levycf.levy, "levy_from_trace", recorded)
+        rng = random.Random(26)
+        for ab in (Alphabet(1, 2), Alphabet(1, 3), Alphabet(2, 3), Alphabet(2, 5)):
+            f0, f1 = letter_levy(ab.a), letter_levy(ab.b)
+            for tol in (1e-4, 1e-5, 1e-6):
+                for _ in range(10):
+                    invert_f(f0 + (f1 - f0) * rng.random(), ab, tol)
+        small = [kind for kind, bits in seen if bits <= levycf.continuants.PLAIN_BITS]
+        assert len(small) > 1000 and set(small) == {int}
+
+    def test_nan_target(self):
+        with pytest.raises(ValueError, match="^target must be a number, got nan$"):
+            invert_f(math.nan, AB, 1e-8)
 
 
 @pytest.fixture

@@ -11,6 +11,15 @@ nothing goes to stderr).  `curve` exits 2 after the rows it has written when
 two neighbouring rows have the same f to the 15 digits it prints, as letters
 a few ulps apart give; in JSON the row list and the record are then closed,
 so stdout is still one JSON document, with fewer rows than its count.
+
+Handlers return the library's floats as they are; main rounds each
+top-level float of params and results to the 15 significant digits printed
+and rejects one that is not finite there, in one pass.  An input check
+that the library makes is not repeated here: its one-line message is the
+one printed.  The CLI checks only what has no library twin: fraction and
+digit parsing, flag combinations, an -n past float range and a --word file
+that cannot be read; it calls the library's tail_depth check early, before
+any file is read.
 """
 
 import argparse
@@ -35,11 +44,9 @@ from .errors import (
 )
 from .levy import (
     METHOD_RATIONAL,
-    XI_MMAX,
     QuadPeriod,
     _farey_chunks,
     _check_tail_depth,
-    curve_qmax,
     f_irrational,
     farey_count,
     invert_f,
@@ -74,7 +81,7 @@ def _f15(x):
 
 
 def _error_bound_field(bound):
-    return "exact-to-rounding" if bound is None else _f15(bound)
+    return "exact-to-rounding" if bound is None else bound
 
 
 @functools.cache
@@ -129,7 +136,7 @@ def _parse_digits(text):
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InvalidWordError(f"cannot parse digits {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse digits {text!r}: {exc}") from None
 
 
 def _parse_slope(digits, repeat):
@@ -139,15 +146,13 @@ def _parse_slope(digits, repeat):
 def cmd_quad(args, alphabet):
     period = parse_word(args.period)
     preperiod = parse_word(args.preperiod)
-    if not period:
-        raise InvalidWordError("--period must be nonempty")
     qp = QuadPeriod(period=period, preperiod=preperiod)
     res = levy_quadratic(qp)
     return {"preperiod": format_word(preperiod), "period": format_word(period)}, {
         "trace": qp.t,
         "period_length": qp.s,
-        "value": _f15(res.value),
-        "mu": _f15(qp.mu),
+        "value": res.value,
+        "mu": qp.mu,
         "error_bound": _error_bound_field(res.error_bound),
         "method": res.method,
     }
@@ -155,19 +160,19 @@ def cmd_quad(args, alphabet):
 
 def cmd_slope(args, alphabet):
     if (args.fraction is None) == (args.cf is None):
-        raise InvalidWordError("give exactly one of a p/q fraction or --cf digits")
+        raise ValueError("give exactly one of a p/q fraction or --cf digits")
     if args.fraction is not None:
         if args.repeat is not None:
-            raise InvalidWordError("--repeat is a digit tail for --cf; a p/q fraction does not read it")
+            raise ValueError("--repeat is a digit tail for --cf; a p/q fraction does not read it")
         if args.depth is not None:
-            raise InvalidWordError("--depth is a convergent index for --cf; a p/q fraction does not read it")
+            raise ValueError("--depth is a convergent index for --cf; a p/q fraction does not read it")
         try:
             p_str, q_str = args.fraction.split("/")
             p, q = int(p_str), int(q_str)
         except ValueError:
-            raise InvalidWordError(f"cannot parse fraction {args.fraction!r}, expected p/q") from None
+            raise ValueError(f"cannot parse fraction {args.fraction!r}, expected p/q") from None
         if q == 0:
-            raise InvalidWordError("denominator must be nonzero")
+            raise ValueError("denominator must be nonzero")
         frac = Fraction(p, q)
         if (frac.numerator, frac.denominator) != (p, q):
             print(f"warning: reduced {p}/{q} to {frac}", file=sys.stderr)
@@ -175,15 +180,13 @@ def cmd_slope(args, alphabet):
         return {"p": frac.numerator, "q": frac.denominator}, {
             "word": format_word(christoffel(frac, alphabet)),
             "trace": sp.trace,
-            "f": _f15(sp.f_value),
-            "x": _f15(sp.x_value),
+            "f": sp.f_value,
+            "x": sp.x_value,
             "error_bound": "exact-to-rounding",
             "method": METHOD_RATIONAL,
         }
     slope = _parse_slope(args.cf, args.repeat)
     depth = 20 if args.depth is None else args.depth
-    if depth < 1:
-        raise InvalidWordError("--depth must be >= 1")
     try:
         res, p_k, q_k = f_irrational(slope, depth, alphabet)
     except TraceRangeError as exc:
@@ -191,18 +194,15 @@ def cmd_slope(args, alphabet):
     return {"cf": list(slope.digits), "repeat": list(slope.repeat), "depth": depth}, {
         "p_k": p_k,
         "q_k": q_k,
-        "f": _f15(res.value),
-        "tail_spread": _f15(tail_spread(alphabet)),
+        "f": res.value,
+        "tail_spread": tail_spread(alphabet),
         "error_bound": _error_bound_field(res.error_bound),
         "method": res.method,
     }
 
 
 def cmd_curve(args, alphabet):
-    limit = curve_qmax(alphabet)
-    if not 1 <= args.qmax <= limit:
-        raise InvalidWordError(f"--qmax must be in 1..{limit}, got {args.qmax}")
-    chunks = _farey_chunks(args.qmax, alphabet)  # both ends are checked here, before any row is written
+    chunks = _farey_chunks(args.qmax, alphabet)  # qmax and both ends are checked here, before any row is written
     count = farey_count(args.qmax)
     return {"qmax": args.qmax}, {"count": count, "rows": _curve_rows(chunks, count)}
 
@@ -241,19 +241,14 @@ def _curve_rows(chunks, count):
 
 
 def cmd_invert(args, alphabet):
-    if not 0 < args.tol < math.inf:
-        raise InvalidWordError(f"--tol must be positive and finite, got {args.tol}")
-    spacing = math.ulp(args.target)
-    if args.tol <= spacing < math.inf:
-        raise InvalidWordError(f"--tol must exceed the float spacing at the target, {spacing!r}, got {args.tol}")
     res = invert_f(args.target, alphabet, args.tol)
-    return {"target": _f15(args.target), "tol": _f15(args.tol)}, {
+    return {"target": args.target, "tol": args.tol}, {
         "lower": str(res.lower),
         "upper": str(res.upper),
         "mediant": str(res.mediant),
-        "f_lower": _f15(res.f_lower),
-        "f_upper": _f15(res.f_upper),
-        "width": _f15(res.width),
+        "f_lower": res.f_lower,
+        "f_upper": res.f_upper,
+        "width": res.width,
         "cf_digits": list(res.cf_digits),
         "exact": res.exact,
         "steps": res.steps,
@@ -261,35 +256,31 @@ def cmd_invert(args, alphabet):
 
 
 def cmd_xi(args, alphabet):
-    if not 4 <= args.mmax <= XI_MMAX:
-        raise InvalidWordError(f"--mmax must be in 4..{XI_MMAX}, got {args.mmax}")
     osc = xi_oscillation(alphabet, args.mmax)
     verdict = "no Levy constant" if osc.gap > 3.0 * osc.noise_floor else "inconclusive"
     return {"mmax": args.mmax}, {
         "points": [[m, _f15(u)] for m, u in osc.points],
-        "acc_even": _f15(osc.acc_even),
-        "acc_odd": _f15(osc.acc_odd),
-        "predicted_even": _f15(osc.predicted_even),
-        "predicted_odd": _f15(osc.predicted_odd),
-        "gap": _f15(osc.gap),
-        "predicted_gap": _f15(osc.predicted_gap),
-        "noise_floor": _f15(osc.noise_floor),
+        "acc_even": osc.acc_even,
+        "acc_odd": osc.acc_odd,
+        "predicted_even": osc.predicted_even,
+        "predicted_odd": osc.predicted_odd,
+        "gap": osc.gap,
+        "predicted_gap": osc.predicted_gap,
+        "noise_floor": osc.noise_floor,
         "verdict": verdict,
     }
 
 
 def cmd_estimate(args, alphabet):
-    if args.n < 1:
-        raise InvalidWordError("-n must be >= 1")
     try:
         float(args.n)  # each estimate divides by n, so it is checked before any letter or digit is read
     except OverflowError:
-        raise InvalidWordError("-n is past float range, about 1.8e308") from None
+        raise ValueError("-n is past float range, about 1.8e308") from None
     if args.repeat is not None and args.slope is None:
-        raise InvalidWordError("--repeat is a digit tail for --slope; no other source reads it")
+        raise ValueError("--repeat is a digit tail for --slope; no other source reads it")
     birkhoff = args.method == "birkhoff"
     if birkhoff:
-        _check_tail_depth(args.tail_depth)  # before any letter or digit is read, as -n is
+        _check_tail_depth(args.tail_depth)  # before any letter or digit is read, as -n's float range is
     period = slope = None
     try:
         if args.word is not None:
@@ -297,14 +288,12 @@ def cmd_estimate(args, alphabet):
             try:
                 letters = load_letters(args.word)
             except OSError as exc:
-                raise InvalidWordError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
+                raise ValueError(f"cannot read --word file: {exc.strerror}: {args.word}") from None
         elif args.slope is not None:
             slope = _parse_slope(args.slope, args.repeat)
             flag, source = "--slope", {"slope_cf": list(slope.digits), "repeat": list(slope.repeat)}
         else:
             word = parse_word(args.periodic)
-            if not word:
-                raise InvalidWordError("--periodic must be nonempty")
             letters, period = word, len(word)
             flag, source = "--periodic", {"periodic": format_word(word)}
         if slope is None:
@@ -317,7 +306,7 @@ def cmd_estimate(args, alphabet):
         raise OverflowError(f"the {flag} letters are too large for the float estimators ({exc})") from None
     results = {
         "n": args.n,
-        "value": _f15(res.value),
+        "value": res.value,
         "error_bound": _error_bound_field(res.error_bound),
         "method": res.method,
     }
@@ -433,9 +422,12 @@ def main(argv=None):
         # a bad -a/-b pair (ValueError) or a letter past float range (OverflowError) exits 2
         alphabet = Alphabet(args.a, args.b)
         params, results = HANDLERS[args.command](args, alphabet)
-        for key, value in results.items():  # JSON has no inf or NaN, and .15g can round up past float max
-            if isinstance(value, float) and not math.isfinite(value):
-                raise OverflowError(f"{key} is past float range at the 15 digits printed")
+        for fields in (params, results):  # each float is printed to 15 digits; JSON has no inf or NaN
+            for key, value in fields.items():
+                if isinstance(value, float):
+                    fields[key] = value = _f15(value)  # .15g can round up past float max
+                    if not math.isfinite(value):
+                        raise OverflowError(f"{key} is past float range at the 15 digits printed")
     except TargetOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"valid interval: [{exc.low:.15g}, {exc.high:.15g}]", file=sys.stderr)
@@ -443,7 +435,7 @@ def main(argv=None):
     except (TruncatedStreamError, InsufficientDigitsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InvalidWordError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoConvergenceError as exc:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: NoConvergenceError exits 1, usage
-problems (argparse) and TraceRangeError exit 2, TargetOutOfRangeError exits 3,
-TruncatedStreamError / InsufficientDigitsError exit 4.
+problems (argparse, and any other ValueError or OverflowError, TraceRangeError
+among them) exit 2, TargetOutOfRangeError exits 3, TruncatedStreamError /
+InsufficientDigitsError exit 4.
 """
 
 

@@ -113,20 +113,18 @@ class QuadPeriod:
 
     @cached_property
     def mu(self) -> float:
-        """The trace mean, the positive root of T_s(mu) = t: mu = r - 1/r with r = exp(L).
+        """The trace mean, the positive root of T_s(mu) = t: mu = r - 1/r with r = exp(L), L the Levy value.
 
-        For periods up to 30 letters, _mu_root cross-checks it on the same trace to 1e-12.
+        r and -1/r are the eigenvalues of [[mu, 1], [1, 0]], so T_s(mu) = r^s +
+        (-1/r)^s = t.  exp turns an absolute error in L into a relative one,
+        so mu's relative error grows like L * 2^-53.  An r past float range
+        raises OverflowError.
         """
         try:
             r = math.exp(levy_from_trace(self.t, self.s))
         except OverflowError:
             raise OverflowError("mu is past float range") from None
-        mu = r - 1.0 / r
-        if self.s <= 30:
-            other = _mu_root(self.period, log_big(self.t))
-            if not abs(other - mu) <= 1e-12 * max(1.0, abs(mu)):
-                raise ArithmeticError(f"mu routes disagree: closed={mu!r}, root={other!r}")
-        return mu
+        return r - 1.0 / r
 
 
 @dataclass(frozen=True)
@@ -202,10 +200,11 @@ def trace_poly(n: int, x: float) -> float:
 def _mu_root(w: Word, lt: float) -> float:
     """Root of T_n(mu) = T(w) from lt = log T(w), bisecting [min(w), max(w)] to adjacent floats.
 
-    T_n is increasing, so a T_n(mid) that overflows to inf still compares as too large.
+    A second route to QuadPeriod.mu, kept as a reference for tests.  T_n is
+    increasing, so a T_n(mid) that overflows to inf still compares as too large.
     """
     if lt >= math.log(sys.float_info.max):
-        raise OverflowError("the period's trace is past float range for mu's cross-check")
+        raise OverflowError("the period's trace is past float range for the bisection")
     n, lo, hi = len(w), float(min(w)), float(max(w))
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
@@ -373,7 +372,7 @@ def f_irrational(slope: SlopeCF, k: int, alphabet: Alphabet) -> tuple:
     trace is built.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"the convergent index k must be >= 1, got {k}")
     p, q = slope.convergent(k)
     _check_float_range(q, f"the denominator q_{k}")
 
@@ -640,7 +639,7 @@ def levy_empirical(letters, n: int, method: str = "logq", tail_depth: int = 40,
     if n < 1:
         raise ValueError("n must be >= 1")
     if period is not None and period < 1:
-        raise ValueError("period must be >= 1")
+        raise ValueError(f"period must be nonempty, got length {period}")
     if method not in ("logq", "birkhoff"):
         raise ValueError(f"unknown method {method!r}")
     if method == "birkhoff":

@@ -13,14 +13,30 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levycf
 import levycf.cli
-from levycf import Alphabet, Mat2, ScaledMat2, SlopeCF, christoffel, levy_empirical, parse_word, slope_point, trace
+from levycf import (
+    Alphabet,
+    Mat2,
+    QuadPeriod,
+    ScaledMat2,
+    SlopeCF,
+    christoffel,
+    f_irrational,
+    invert_f,
+    levy_empirical,
+    parse_word,
+    slope_point,
+    trace,
+    xi_oscillation,
+)
 from levycf.cli import main
+from levycf.levy import _farey_chunks
 from levycf.errors import NoConvergenceError
 from levycf.words import standard_sequence
 
@@ -71,8 +87,7 @@ class TestQuad:
 
     @pytest.mark.parametrize("letters", [40, 3])
     def test_period_folds_once(self, letters, monkeypatch, capsys):
-        # QuadPeriod.t folds the period once; the value, the trace field, mu
-        # and mu's root cross-check (run up to 30 letters) all read it
+        # QuadPeriod.t folds the period once; the value, the trace field and mu all read it
         import levycf.levy
 
         folds = []
@@ -92,14 +107,24 @@ class TestQuad:
         assert proc.returncode == 2
 
     def test_letter_past_float_range_names_mu(self, capsys):
-        # the value is exact, but mu's root-finding cross-check evaluates T_n at the root in floats;
-        # a letter past float range, or 30 letters of 10^11 and 10^12, puts the trace past it
+        # mu = r - 1/r with r = exp(L) reads the trace only through L, so a trace past float range still
+        # gives mu: checked against r = lam^(1/s), lam = (t + sqrt(t^2 - (-1)^s 4))/2, at 60 digits, to
+        # mu's bound 4 (L + 1) 2^-53 (test_levy.py, TestMuMean) plus the rounding to 15 printed digits
         alternating = ",".join(str(10**11 if i % 2 == 0 else 10**12) for i in range(30))
         for period in (f"1,{HUGE}", alternating):
-            assert main(["quad", "--period", period, "-a", "1", "-b", "2"]) == 2
-            out = capsys.readouterr()
-            assert out.out == ""
-            assert out.err.splitlines() == ["error: the period's trace is past float range for mu's cross-check"]
+            assert main(["quad", "--period", period, "-a", "1", "-b", "2"]) == 0
+            mu = json.loads(capsys.readouterr().out)["results"]["mu"]
+            w = parse_word(period)
+            t, s = trace(w), len(w)
+            with mpmath.workdps(60):
+                r = ((t + mpmath.sqrt(mpmath.mpf(t) ** 2 - (-1) ** s * 4)) / 2) ** (mpmath.mpf(1) / s)
+                ref, big_l = r - 1 / r, float(mpmath.log(r))
+                assert abs(mu - ref) <= (4 * (big_l + 1) * 2**-53 + 5e-15) * ref
+        # one letter of 10^400: r = 10^400 itself is past float range
+        assert main(["quad", "--period", HUGE, "-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == ["error: mu is past float range"]
 
 
 class TestSlope:
@@ -271,12 +296,12 @@ class TestCurve:
             assert main(["curve", "--qmax", qmax, "-a", "1", "-b", "2"]) == 2
             out = capsys.readouterr()
             assert out.out == ""
-            assert out.err.splitlines() == [f"error: --qmax must be in 1..10000, got {qmax}"]
+            assert out.err.splitlines() == [f"error: qmax must be in 1..10000, got {qmax}"]
         # letters this large hold the walk's stack of traces to 733
         assert main(["curve", "--qmax", "734", "-a", "1", "-b", str(10**300)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.splitlines() == ["error: --qmax must be in 1..733, got 734"]
+        assert out.err.splitlines() == ["error: qmax must be in 1..733, got 734"]
 
     @staticmethod
     def _inject_chunks(monkeypatch, rows, size):
@@ -441,7 +466,7 @@ class TestInvert:
         for tol in ("nan", "inf"):
             proc = run_cli("invert", "0.6", "-a", "1", "-b", "2", "--tol", tol)
             assert proc.returncode == 2
-            assert proc.stderr.startswith("error: --tol must be positive and finite")
+            assert proc.stderr.splitlines() == [f"error: tol must be positive and finite, got {tol}"]
             assert len(proc.stderr.splitlines()) == 1
 
     def test_nan_target_exits_2(self, capsys):
@@ -456,7 +481,7 @@ class TestInvert:
             assert main(["invert", "0.7", "-a", "1", "-b", "2", "--tol", tol]) == 2
             out = capsys.readouterr()
             assert out.out == ""
-            assert out.err.splitlines() == [f"error: --tol must exceed the float spacing at the target, {math.ulp(0.7)!r}, got {tol}"]
+            assert out.err.splitlines() == [f"error: tol must exceed the float spacing at the target, {math.ulp(0.7)!r}, got {float(tol)}"]
 
     def test_long_endpoint_runs_in_a_child(self):
         # a same-side run of about 370,000 nodes toward 0/1, and one that reaches the step cap
@@ -511,7 +536,7 @@ class TestXi:
     def test_mmax_above_bound_exits_2(self):
         proc = run_cli("xi", "--mmax", "1001", "-a", "1", "-b", "2")
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["error: --mmax must be in 4..1000, got 1001"]
+        assert proc.stderr.splitlines() == ["error: m_max must be in 4..1000, got 1001"]
 
     def test_letter_past_float_range_exits_2(self, capsys):
         assert main(["xi", "--mmax", "5", "-a", "1", "-b", HUGE]) == 2
@@ -764,7 +789,7 @@ class TestEstimate:
     @pytest.mark.parametrize("source, line", [
         ("--slope", "error: cannot parse digits '': invalid literal for int() with base 10: ''"),
         ("--word", "error: cannot read --word file: No such file or directory: "),
-        ("--periodic", "error: --periodic must be nonempty"),
+        ("--periodic", "error: period must be nonempty, got length 0"),
     ])
     def test_empty_source_exits_2(self, source, line, capsys):
         # an empty value still selects its own source, which rejects it in one line
@@ -900,6 +925,26 @@ class TestRecordPath:
         assert list(record) == ["command", "alphabet", "params", "results", "wall_time_s"]
         assert record["command"] == command
         assert record["alphabet"] == {"a": 1, "b": 2}
+
+    @pytest.mark.parametrize("argv, check", [
+        (["quad", "--period", ""], lambda ab: QuadPeriod(())),
+        (["slope", "--cf", "1", "--depth", "0"], lambda ab: f_irrational(SlopeCF((1,)), 0, ab)),
+        (["curve", "--qmax", "10001"], lambda ab: _farey_chunks(10001, ab)),
+        (["invert", "0.7", "--tol", "0"], lambda ab: invert_f(0.7, ab, 0.0)),
+        (["invert", "0.7", "--tol", "1e-17"], lambda ab: invert_f(0.7, ab, 1e-17)),
+        (["xi", "--mmax", "1001"], lambda ab: xi_oscillation(ab, 1001)),
+        (["estimate", "--periodic", "1,2", "-n", "0"], lambda ab: levy_empirical((1.0, 2.0), 0, period=2)),
+        (["estimate", "--periodic", "", "-n", "10"], lambda ab: levy_empirical((), 10, period=0)),
+    ])
+    def test_library_check_is_the_one_printed(self, argv, check, capsys):
+        # the CLI keeps no copy of a check that the library makes: its one line is the library's own
+        ab = Alphabet(1, 2)
+        with pytest.raises(ValueError) as raised:
+            check(ab)
+        assert main(argv + ["-a", "1", "-b", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"error: {raised.value}"]
 
 
 class TestDeterminism:
